@@ -50,9 +50,9 @@ struct ChaosArgs {
   /// --raftstat: print cluster-wide DebugStatus after every failing run
   /// and at exit for the last run.
   bool raftstat = false;
-  /// --reconfig: logless reconfiguration mode — enables the membership
-  /// nemesis in generated schedules and enable_logless_reconfig on the
-  /// cluster, so the Config Safety invariant gets real work.
+  /// --reconfig: enables the membership nemesis in generated schedules,
+  /// so the Config Safety invariant gets real work. It changes only the
+  /// schedules: every ring reconfigures through the logless path.
   bool reconfig = false;
 };
 
@@ -95,17 +95,16 @@ bool ParseChaosArgs(int argc, char** argv, ChaosArgs* args) {
   return true;
 }
 
-chaos::ChaosOptions RunnerOptions(bool reconfig) {
+chaos::ChaosOptions RunnerOptions() {
   chaos::ChaosOptions options;
   options.cluster.topology.db_regions = 3;
   options.cluster.topology.logtailers_per_db = 2;
   options.cluster.topology.learners = 1;
-  options.cluster.raft.enable_logless_reconfig = reconfig;
   return options;
 }
 
 int RunChaos(const ChaosArgs& args) {
-  const chaos::ChaosOptions runner_options = RunnerOptions(args.reconfig);
+  const chaos::ChaosOptions runner_options = RunnerOptions();
   chaos::NemesisOptions nemesis_options;
   nemesis_options.reconfig_faults = args.reconfig;
   nemesis_options.duration_micros = args.duration_ms * 1'000;

@@ -135,7 +135,8 @@ struct RotateBody {
 };
 
 struct MetadataBody {
-  /// Mirrors wire EntryType (kNoOp / kConfigChange).
+  /// Mirrors wire EntryType; always kNoOp (transactions and rotates
+  /// have event types of their own).
   uint8_t entry_type = 0;
   std::string payload;
 

@@ -192,9 +192,12 @@ Status BinlogManager::ScanFile(uint64_t number, const FileInfo& info,
         if (in_txn) return Status::Corruption("Metadata inside transaction");
         MetadataBody body;
         MYRAFT_ASSIGN_OR_RETURN(body, MetadataBody::Decode(event->body));
+        if (body.entry_type != static_cast<uint8_t>(EntryType::kNoOp)) {
+          return Status::Corruption("Metadata event with bad entry type");
+        }
         EntryPos pos;
         pos.term = event->opid.term;
-        pos.type = static_cast<EntryType>(body.entry_type);
+        pos.type = EntryType::kNoOp;
         pos.file_number = number;
         pos.offset = offset;
         pos.length = reader->offset() - offset;
@@ -376,8 +379,7 @@ Status BinlogManager::AppendEntry(const LogEntry& entry) {
       gtids_in_log_.Add(gtid_body.gtid);
       return Status::OK();
     }
-    case EntryType::kNoOp:
-    case EntryType::kConfigChange: {
+    case EntryType::kNoOp: {
       MetadataBody body;
       body.entry_type = static_cast<uint8_t>(entry.type);
       body.payload = entry.payload;
@@ -435,8 +437,7 @@ Result<LogEntry> BinlogManager::ReadEntry(uint64_t index) const {
     case EntryType::kTransaction:
       MYRAFT_RETURN_NOT_OK(ValidateTransactionPayload(raw, opid));
       return LogEntry::Make(opid, EntryType::kTransaction, raw.ToString());
-    case EntryType::kNoOp:
-    case EntryType::kConfigChange: {
+    case EntryType::kNoOp: {
       Slice in = raw;
       auto event = BinlogEvent::DecodeFrom(&in);
       if (!event.ok()) return event.status();

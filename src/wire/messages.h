@@ -65,12 +65,11 @@ struct AppendEntriesRequest {
   uint64_t lease_duration_micros = 0;
   uint64_t lease_sent_micros = 0;
   /// Logless reconfiguration (DESIGN.md §15): the leader's current
-  /// MembershipConfig, encoded with EncodeMembershipConfig, carried on
-  /// every AppendEntries so config propagation is decoupled from log
-  /// replication. A third optional trailing group after the lease pair;
-  /// absent (empty) when `enable_logless_reconfig` is off, so
-  /// logless-off traffic stays byte-identical to the pre-reconfig
-  /// format (same fully-upgraded-cluster discipline as leases, §13.6).
+  /// MembershipConfig, encoded with EncodeMembershipConfig, so config
+  /// propagation is decoupled from log replication. Attached whenever
+  /// the destination has not yet acked the active config identity, so
+  /// steady-state heartbeats skip it. A third optional trailing group
+  /// after the lease pair; absent when empty.
   std::string config_payload;
 
   bool operator==(const AppendEntriesRequest&) const = default;
@@ -114,8 +113,9 @@ struct AppendEntriesResponse {
   /// Logless reconfiguration: the (config_term, config_version) identity
   /// of the follower's installed config after processing the request —
   /// the leader's per-peer config-ack state that drives the install
-  /// (config-commit) quorum. Optional trailing varint pair, present only
-  /// when the follower runs with logless reconfig enabled.
+  /// (config-commit) quorum. Optional trailing varint pair; always set
+  /// by followers, so responses carry it (and the zero trace and lease
+  /// groups before it).
   uint64_t config_term = 0;
   uint64_t config_version = 0;
 
@@ -143,7 +143,7 @@ struct VoteRequest {
   /// Logless reconfiguration: the candidate's config identity. Voters
   /// deny candidates whose config is older than their own ("stale-
   /// config") so a leader cannot be elected on a superseded member set.
-  /// Optional trailing varint pair, absent when logless reconfig is off.
+  /// Optional trailing varint pair, absent only for identity (0,0).
   uint64_t config_term = 0;
   uint64_t config_version = 0;
 

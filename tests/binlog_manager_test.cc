@@ -357,6 +357,30 @@ TEST_F(BinlogManagerTest, RecoveryRejectsOutOfOrderIndex) {
   EXPECT_TRUE(reopened.status().IsCorruption());
 }
 
+TEST_F(BinlogManagerTest, RecoveryRejectsUnknownMetadataEntryType) {
+  // A whole, checksummed metadata event whose entry type is not a no-op
+  // (3 was the retired membership-change type) is corruption, not an
+  // entry of some type the log cannot serve.
+  ASSERT_TRUE(manager_->AppendEntry(Txn({1, 1}, 1)).ok());
+  ASSERT_TRUE(manager_->Sync().ok());
+  const auto position = manager_->CurrentPosition();
+  manager_.reset();
+  auto writer =
+      BinlogFileWriter::OpenForAppend(env_.get(), "/log/" + position.file);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  MetadataBody body;
+  body.entry_type = 3;
+  body.payload = "config";
+  ASSERT_TRUE((*writer)
+                  ->AppendEvent(MakeEvent(EventType::kMetadata, 0, 7,
+                                          OpId{1, 2}, body.Encode()))
+                  .ok());
+  ASSERT_TRUE((*writer)->Sync().ok());
+  ASSERT_TRUE((*writer)->Close().ok());
+  auto reopened = binlog::BinlogManager::Open(env_.get(), options_);
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
+}
+
 TEST_F(BinlogManagerTest, RecoveryRejectsGarbageIndexLine) {
   manager_.reset();
   ASSERT_TRUE(

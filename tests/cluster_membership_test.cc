@@ -38,7 +38,7 @@ TEST(ClusterMembershipTest, NewDatabaseJoinsCatchesUpAndServes) {
   // usual safe order), in a follower region.
   MemberInfo learner{"dbnew", "region1", MemberKind::kMySql,
                      RaftMemberType::kNonVoter};
-  ASSERT_TRUE(cluster.AddNewMember(learner).ok());
+  ASSERT_TRUE(cluster.admin()->AddMember(learner).ok());
   cluster.loop()->RunFor(5 * kSecond);
 
   // The new member caught up from index 1 and applied everything.
@@ -75,7 +75,7 @@ TEST(ClusterMembershipTest, AddedLogtailerJoinsTheVoterQuorum) {
   const RegionId home = cluster.node(primary)->region();
   MemberInfo witness{"ltnew", home, MemberKind::kLogtailer,
                      RaftMemberType::kVoter};
-  ASSERT_TRUE(cluster.AddNewMember(witness).ok());
+  ASSERT_TRUE(cluster.admin()->AddMember(witness).ok());
   cluster.loop()->RunFor(5 * kSecond);
 
   MemberId old_logtailer;
@@ -106,7 +106,7 @@ TEST(ClusterMembershipTest, RemoveMemberShrinksTheRing) {
   ASSERT_TRUE(cluster.SyncWrite("a", "1").status.ok());
   cluster.loop()->RunFor(2 * kSecond);
 
-  ASSERT_TRUE(cluster.RemoveMemberViaLeader("learner0").ok());
+  ASSERT_TRUE(cluster.admin()->RemoveMember("learner0").ok());
   cluster.loop()->RunFor(3 * kSecond);
   for (const MemberId& id : cluster.ids()) {
     if (id == "learner0") continue;
@@ -141,7 +141,6 @@ TEST(ClusterMembershipTest, LoglessAddMemberCommitsViaConfigQuorum) {
   options.seed = 64;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  options.raft.enable_logless_reconfig = true;
   ClusterHarness cluster(options, FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
@@ -154,7 +153,7 @@ TEST(ClusterMembershipTest, LoglessAddMemberCommitsViaConfigQuorum) {
 
   MemberInfo learner{"dbnew", "region1", MemberKind::kMySql,
                      RaftMemberType::kNonVoter};
-  ASSERT_TRUE(cluster.AddNewMember(learner).ok());
+  ASSERT_TRUE(cluster.admin()->AddMember(learner).ok());
   cluster.loop()->RunFor(5 * kSecond);
 
   // The change rode the versioned-config channel, not the log: identity
@@ -178,7 +177,6 @@ TEST(ClusterMembershipTest, LoglessConcurrentChangeIsRefused) {
   options.seed = 65;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  options.raft.enable_logless_reconfig = true;
   ClusterHarness cluster(options, FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
@@ -199,21 +197,20 @@ TEST(ClusterMembershipTest, LoglessConcurrentChangeIsRefused) {
 
   // First change opens the pending window (the install quorum can't have
   // echoed yet — the loop hasn't run); the second must be refused.
-  ASSERT_TRUE(cluster
-                  .SwapMemberTypeViaLeader(targets[0],
-                                           RaftMemberType::kNonVoter)
+  ASSERT_TRUE(cluster.admin()
+                  ->SwapMemberType(targets[0], RaftMemberType::kNonVoter)
                   .ok());
   Status second =
-      cluster.SwapMemberTypeViaLeader(targets[1], RaftMemberType::kNonVoter);
+      cluster.admin()->SwapMemberType(targets[1], RaftMemberType::kNonVoter)
+          .status;
   EXPECT_TRUE(second.IsIllegalState()) << second;
 
   // Once the first change commits, the second goes through.
   cluster.loop()->RunFor(5 * kSecond);
   raft::RaftConsensus* leader = cluster.node(primary)->server()->consensus();
   EXPECT_FALSE(leader->has_pending_config_change());
-  ASSERT_TRUE(cluster
-                  .SwapMemberTypeViaLeader(targets[1],
-                                           RaftMemberType::kNonVoter)
+  ASSERT_TRUE(cluster.admin()
+                  ->SwapMemberType(targets[1], RaftMemberType::kNonVoter)
                   .ok());
   cluster.loop()->RunFor(5 * kSecond);
   EXPECT_FALSE(leader->has_pending_config_change());
@@ -225,7 +222,6 @@ TEST(ClusterMembershipTest, VoterWitnessSwapRoundTrip) {
   options.seed = 66;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  options.raft.enable_logless_reconfig = true;
   ClusterHarness cluster(options, FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
@@ -239,8 +235,7 @@ TEST(ClusterMembershipTest, VoterWitnessSwapRoundTrip) {
 
   // Voter -> witness: every node converges on the demoted type.
   ASSERT_TRUE(
-      cluster.SwapMemberTypeViaLeader(target, RaftMemberType::kNonVoter)
-          .ok());
+      cluster.admin()->SwapMemberType(target, RaftMemberType::kNonVoter).ok());
   cluster.loop()->RunFor(5 * kSecond);
   for (const MemberId& id : cluster.ids()) {
     const MemberInfo* info =
@@ -251,7 +246,7 @@ TEST(ClusterMembershipTest, VoterWitnessSwapRoundTrip) {
 
   // Witness -> voter: and back.
   ASSERT_TRUE(
-      cluster.SwapMemberTypeViaLeader(target, RaftMemberType::kVoter).ok());
+      cluster.admin()->SwapMemberType(target, RaftMemberType::kVoter).ok());
   cluster.loop()->RunFor(5 * kSecond);
   for (const MemberId& id : cluster.ids()) {
     const MemberInfo* info =
@@ -268,7 +263,6 @@ TEST(ClusterMembershipTest, RemovedVoterInstallsFarewellAndParks) {
   options.seed = 67;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  options.raft.enable_logless_reconfig = true;
   ClusterHarness cluster(options, FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
@@ -279,7 +273,7 @@ TEST(ClusterMembershipTest, RemovedVoterInstallsFarewellAndParks) {
   const MemberId removed =
       LogtailerOutsideRegion(cluster, cluster.node(primary)->region());
   ASSERT_FALSE(removed.empty());
-  ASSERT_TRUE(cluster.RemoveMemberViaLeader(removed).ok());
+  ASSERT_TRUE(cluster.admin()->RemoveMember(removed).ok());
 
   // Long enough for many election timeouts: a removed node that never
   // learned of its removal would campaign here and inflate terms.
@@ -307,7 +301,6 @@ TEST(ClusterMembershipTest, ReconfigRacingLeaderTransferStaysSafe) {
   options.seed = 68;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  options.raft.enable_logless_reconfig = true;
   ClusterHarness cluster(options, FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
@@ -337,7 +330,9 @@ TEST(ClusterMembershipTest, ReconfigRacingLeaderTransferStaysSafe) {
   // change may land on either side of the handoff or be refused — what
   // must hold is that the ring converges on one leader and one config.
   Status racing =
-      cluster.SwapMemberTypeViaLeader(demote_target, RaftMemberType::kNonVoter);
+      cluster.admin()
+          ->SwapMemberType(demote_target, RaftMemberType::kNonVoter)
+          .status;
   EXPECT_TRUE(racing.ok() || racing.IsIllegalState() ||
               racing.IsServiceUnavailable())
       << racing;
@@ -358,10 +353,11 @@ TEST(ClusterMembershipTest, ReconfigRacingLeaderTransferStaysSafe) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy log-path regressions (§15 bug crop): truncation rollback with
-// stacked uncommitted config entries, and the Replicate(kConfigChange)
-// guard. Hand-driven through the raft_test harness so message timing is
-// exact.
+// Config vs log independence (§15 bug crop, ported from the retired
+// log-entry path): truncation never rolls a config back, a new leader's
+// term rebase is what supersedes a deposed leader's uncommitted config, and
+// a pending change closes every membership entry point. Hand-driven through
+// the raft_test harness so message timing is exact.
 
 using raft_test::RaftTestCluster;
 
@@ -370,24 +366,24 @@ raft::MajorityQuorumEngine* Majority() {
   return engine;
 }
 
-LogEntry ConfigEntry(uint64_t term, uint64_t index,
-                     const MembershipConfig& config) {
-  std::string payload;
-  EncodeMembershipConfig(config, &payload);
-  return LogEntry::Make({term, index}, EntryType::kConfigChange,
-                        std::move(payload));
+LogEntry Txn(uint64_t term, uint64_t index) {
+  return LogEntry::Make({term, index}, EntryType::kTransaction, "txn");
 }
 
 AppendEntriesRequest Append(const MemberId& leader, const MemberId& dest,
                             uint64_t term, OpId prev,
-                            std::vector<LogEntry> entries) {
+                            std::vector<LogEntry> entries,
+                            const MembershipConfig* config = nullptr) {
   AppendEntriesRequest request;
   request.leader = leader;
   request.dest = dest;
   request.term = term;
   request.prev = prev;
-  request.commit_marker = kZeroOpId;  // nothing committed: all stacked
+  request.commit_marker = kZeroOpId;  // nothing committed: all divergent
   request.entries = std::move(entries);
+  if (config != nullptr) {
+    EncodeMembershipConfig(*config, &request.config_payload);
+  }
   return request;
 }
 
@@ -399,88 +395,126 @@ raft::RaftOptions PassiveOptions() {
   return options;
 }
 
-TEST(ClusterMembershipTest, StackedUncommittedConfigsRollBackToCommitted) {
+TEST(ClusterMembershipTest, DivergentSuffixOverwriteLeavesInstalledConfig) {
   RaftTestCluster nodes(69);
   nodes.AddMemberSpec("f", "r0");
   nodes.AddMemberSpec("ldr", "r0");
   nodes.AddMemberSpec("x", "r1");
   nodes.StartAll(Majority(), PassiveOptions());
   raft::RaftConsensus* f = nodes.node("f")->consensus();
-  const MembershipConfig base = nodes.config();
+  const MembershipConfig base = f->config();
 
-  // Term-2 leader stacks TWO uncommitted config entries in one batch:
-  // base+d at index 2, then base+d+e at index 3.
+  // A term-2 leader installs an uncommitted config (base+d) on f while
+  // shipping a three-entry suffix that will turn out divergent.
   MembershipConfig with_d = base;
   with_d.members.push_back({"d", "r1", MemberKind::kMySql,
                             RaftMemberType::kVoter});
-  with_d.config_index = 2;
-  MembershipConfig with_de = with_d;
-  with_de.members.push_back({"e", "r2", MemberKind::kMySql,
-                             RaftMemberType::kVoter});
-  with_de.config_index = 3;
+  with_d.config_term = 2;
+  with_d.config_version = base.config_version + 1;
   nodes.node("f")->Deliver(Message(Append(
       "ldr", "f", 2, kZeroOpId,
-      {LogEntry::Make({2, 1}, EntryType::kNoOp, ""),
-       ConfigEntry(2, 2, with_d), ConfigEntry(2, 3, with_de)})));
+      {LogEntry::Make({2, 1}, EntryType::kNoOp, ""), Txn(2, 2), Txn(2, 3)},
+      &with_d)));
+  ASSERT_EQ(f->last_logged(), (OpId{2, 3}));
   ASSERT_TRUE(f->config().Contains("d"));
-  ASSERT_TRUE(f->config().Contains("e"));
+  ASSERT_TRUE(f->config().SameIdAs(with_d));
   ASSERT_FALSE(f->committed_config().Contains("d"));
   ASSERT_TRUE(f->has_pending_config_change());
 
-  // A term-3 leader overwrites the whole divergent suffix. The historical
-  // single-slot rollback restored the INTERMEDIATE config (base+d); the
-  // correct target is the last committed config.
-  nodes.node("f")->Deliver(Message(
-      Append("x", "f", 3, {2, 1},
-             {LogEntry::Make({3, 2}, EntryType::kNoOp, "")})));
-  EXPECT_FALSE(f->config().Contains("d"));
-  EXPECT_FALSE(f->config().Contains("e"));
-  EXPECT_FALSE(f->has_pending_config_change());
+  // A term-3 leader overwrites index 3, then the suffix from index 2. The
+  // config is state, not a log entry: neither truncation touches it (the
+  // retired log path had to re-derive it from the surviving suffix and
+  // got stacked entries wrong).
+  nodes.node("f")->Deliver(
+      Message(Append("x", "f", 3, {2, 2}, {Txn(3, 3)})));
+  ASSERT_EQ(f->last_logged(), (OpId{3, 3}));
+  EXPECT_TRUE(f->config().SameIdAs(with_d));
+  EXPECT_TRUE(f->config().Contains("d"));
+  EXPECT_TRUE(f->has_pending_config_change());
 
-  // Crash/restart re-derives the same answer from disk: a rejoined
-  // follower must not come back acting on the truncated config.
+  nodes.node("f")->Deliver(
+      Message(Append("x", "f", 3, {2, 1}, {Txn(3, 2)})));
+  ASSERT_EQ(f->last_logged(), (OpId{3, 2}));
+  EXPECT_EQ(nodes.node("f")->truncations_, 2);
+  EXPECT_TRUE(f->config().SameIdAs(with_d));
+  EXPECT_TRUE(f->config().Contains("d"));
+  EXPECT_TRUE(f->has_pending_config_change());
+
+  // Crash/restart recovers the same installed config and pendingness from
+  // the metadata store: a rejoined follower acts on what it echoed.
   nodes.Crash("f");
   nodes.Restart("f");
   f = nodes.node("f")->consensus();
-  EXPECT_FALSE(f->config().Contains("d"));
-  EXPECT_FALSE(f->config().Contains("e"));
-  EXPECT_FALSE(f->has_pending_config_change());
-}
-
-TEST(ClusterMembershipTest, PartialTruncationKeepsSurvivingConfigEntry) {
-  RaftTestCluster nodes(70);
-  nodes.AddMemberSpec("f", "r0");
-  nodes.AddMemberSpec("ldr", "r0");
-  nodes.AddMemberSpec("x", "r1");
-  nodes.StartAll(Majority(), PassiveOptions());
-  raft::RaftConsensus* f = nodes.node("f")->consensus();
-  const MembershipConfig base = nodes.config();
-
-  MembershipConfig with_d = base;
-  with_d.members.push_back({"d", "r1", MemberKind::kMySql,
-                            RaftMemberType::kVoter});
-  with_d.config_index = 2;
-  MembershipConfig with_de = with_d;
-  with_de.members.push_back({"e", "r2", MemberKind::kMySql,
-                             RaftMemberType::kVoter});
-  with_de.config_index = 3;
-  nodes.node("f")->Deliver(Message(Append(
-      "ldr", "f", 2, kZeroOpId,
-      {LogEntry::Make({2, 1}, EntryType::kNoOp, ""),
-       ConfigEntry(2, 2, with_d), ConfigEntry(2, 3, with_de)})));
-  ASSERT_TRUE(f->config().Contains("e"));
-
-  // Truncate only index 3: the surviving config entry at index 2 is the
-  // rollback target, and it is still pending (uncommitted).
-  nodes.node("f")->Deliver(Message(
-      Append("x", "f", 3, {2, 2},
-             {LogEntry::Make({3, 3}, EntryType::kNoOp, "")})));
+  EXPECT_EQ(f->last_logged(), (OpId{3, 2}));
+  EXPECT_TRUE(f->config().SameIdAs(with_d));
   EXPECT_TRUE(f->config().Contains("d"));
-  EXPECT_FALSE(f->config().Contains("e"));
+  EXPECT_FALSE(f->committed_config().Contains("d"));
   EXPECT_TRUE(f->has_pending_config_change());
 }
 
-TEST(ClusterMembershipTest, DirectReplicateConfigChangeWhilePendingIsRejected) {
+TEST(ClusterMembershipTest, NewLeaderRebaseSupersedesDeposedLeadersConfig) {
+  RaftTestCluster nodes(70);
+  nodes.AddMemberSpec("a", "r0");
+  nodes.AddMemberSpec("b", "r0");
+  nodes.AddMemberSpec("c", "r1");
+  nodes.StartAll(Majority());
+  const MemberId old_id = nodes.WaitForLeader(30 * kSecond);
+  ASSERT_FALSE(old_id.empty());
+  raft::RaftConsensus* old_leader = nodes.node(old_id)->consensus();
+  ASSERT_TRUE(nodes.WaitForCommit(old_id, old_leader->last_logged(),
+                                  10 * kSecond));
+  ASSERT_FALSE(old_leader->has_pending_config_change());
+
+  // Cut the leader off, then propose: the new config can never gather its
+  // install quorum, so it stays pending on the deposed leader alone.
+  for (const MemberId& id : nodes.ids()) {
+    if (id != old_id) nodes.network()->SetLinkCut(old_id, id, true);
+  }
+  ASSERT_TRUE(old_leader
+                  ->AddMember({"d", "r1", MemberKind::kMySql,
+                               RaftMemberType::kVoter})
+                  .ok());
+  const MembershipConfig orphan = old_leader->config();
+  ASSERT_TRUE(orphan.Contains("d"));
+  ASSERT_TRUE(old_leader->has_pending_config_change());
+
+  // The majority side elects a successor, which rebases the config it
+  // holds (without d) onto its own higher term and commits it.
+  MemberId new_id;
+  const uint64_t deadline = nodes.loop()->now() + 30 * kSecond;
+  while (nodes.loop()->now() < deadline && new_id.empty()) {
+    nodes.loop()->RunFor(100'000);
+    for (const MemberId& id : nodes.ids()) {
+      raft::RaftConsensus* c = nodes.node(id)->consensus();
+      if (id != old_id && c->role() == RaftRole::kLeader &&
+          !c->has_pending_config_change()) {
+        new_id = id;
+      }
+    }
+  }
+  ASSERT_FALSE(new_id.empty());
+  raft::RaftConsensus* new_leader = nodes.node(new_id)->consensus();
+  EXPECT_GT(new_leader->config().config_term, orphan.config_term);
+  EXPECT_FALSE(new_leader->config().Contains("d"));
+
+  // Heal: the rebased identity dominates the orphan's higher version, so
+  // the deposed leader steps down and installs it over its own config.
+  nodes.network()->HealAllFaults();
+  const uint64_t heal_deadline = nodes.loop()->now() + 10 * kSecond;
+  while (nodes.loop()->now() < heal_deadline &&
+         !old_leader->config().SameIdAs(new_leader->config())) {
+    nodes.loop()->RunFor(100'000);
+  }
+  EXPECT_EQ(old_leader->role(), RaftRole::kFollower);
+  EXPECT_TRUE(old_leader->config().SameIdAs(new_leader->config()));
+  EXPECT_TRUE(new_leader->config().IdIsNewerThan(orphan));
+  for (const MemberId& id : nodes.ids()) {
+    EXPECT_FALSE(nodes.node(id)->consensus()->config().Contains("d")) << id;
+  }
+  EXPECT_FALSE(new_leader->has_pending_config_change());
+}
+
+TEST(ClusterMembershipTest, PendingChangeClosesEveryMembershipEntryPoint) {
   RaftTestCluster nodes(71);
   nodes.AddMemberSpec("a", "r0");
   nodes.AddMemberSpec("b", "r0");
@@ -492,24 +526,27 @@ TEST(ClusterMembershipTest, DirectReplicateConfigChangeWhilePendingIsRejected) {
   ASSERT_TRUE(
       nodes.WaitForCommit(leader_id, leader->last_logged(), 10 * kSecond));
 
-  // Open the legacy pending window with a real AddMember, then hit the
-  // raw entry point before the loop can commit it. Pre-guard, the direct
-  // Replicate stacked a second uncommitted config on top of the pending
-  // one and broke the truncation rollback.
+  // Open the pending window with a real AddMember, then try every other
+  // entry point before the loop can commit it. None may stack a second
+  // uncommitted config on top of the pending one.
   ASSERT_TRUE(leader
                   ->AddMember({"d", "r2", MemberKind::kMySql,
                                RaftMemberType::kVoter})
                   .ok());
   ASSERT_TRUE(leader->has_pending_config_change());
-  MembershipConfig stacked = leader->config();
-  stacked.members.push_back({"e", "r2", MemberKind::kMySql,
-                             RaftMemberType::kVoter});
-  std::string payload;
-  EncodeMembershipConfig(stacked, &payload);
-  auto direct =
-      leader->Replicate(EntryType::kConfigChange, std::move(payload));
-  ASSERT_FALSE(direct.ok());
-  EXPECT_TRUE(direct.status().IsIllegalState()) << direct.status();
+  const MembershipConfig pending = leader->config();
+  const MemberId follower = leader_id == "a" ? "b" : "a";
+  const Status refused[] = {
+      leader->AddMember({"e", "r2", MemberKind::kMySql,
+                         RaftMemberType::kVoter}),
+      leader->RemoveMember(follower),
+      leader->SetMemberType(follower, RaftMemberType::kNonVoter),
+      leader->SetQuorumSpec("majority"),
+  };
+  for (const Status& s : refused) {
+    EXPECT_TRUE(s.IsIllegalState()) << s;
+  }
+  EXPECT_TRUE(leader->config() == pending);
 
   // The legitimate change still commits cleanly on every voter.
   const uint64_t deadline = nodes.loop()->now() + 30 * kSecond;
@@ -520,6 +557,7 @@ TEST(ClusterMembershipTest, DirectReplicateConfigChangeWhilePendingIsRejected) {
   EXPECT_FALSE(leader->has_pending_config_change());
   for (const MemberId& id : {MemberId("a"), MemberId("b"), MemberId("c")}) {
     EXPECT_TRUE(nodes.node(id)->consensus()->config().Contains("d")) << id;
+    EXPECT_FALSE(nodes.node(id)->consensus()->config().Contains("e")) << id;
   }
 }
 

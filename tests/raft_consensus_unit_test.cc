@@ -132,6 +132,13 @@ class ConsensusUnitTest : public ::testing::Test {
     outbox_.sent.clear();
   }
 
+  /// A candidate campaigning on the voter's own config identity, so the
+  /// "stale-config" check passes and the other vote rules decide.
+  void StampVoterConfig(VoteRequest* request) const {
+    request->config_term = consensus_->config().config_term;
+    request->config_version = consensus_->config().config_version;
+  }
+
   AppendEntriesRequest MakeAppend(uint64_t term, OpId prev,
                                   std::vector<LogEntry> entries,
                                   OpId commit = kZeroOpId,
@@ -372,16 +379,29 @@ TEST_F(ConsensusUnitTest, VoteDeniedToStaleLogAndPersisted) {
       Message(MakeAppend(1, kZeroOpId, {E(1, 1, "x")})));
   outbox_.sent.clear();
 
-  // Candidate with an empty log at a higher term: term adopted, vote
-  // denied on the log check.
+  // Candidate with an up-to-date log but a superseded config identity at
+  // a higher term: term adopted, vote denied on the config check, and no
+  // vote recorded.
   VoteRequest request;
-  request.candidate = "c";
+  request.candidate = "b";
   request.dest = "a";
   request.term = 5;
-  request.last_log = kZeroOpId;
-  request.candidate_region = "r1";
+  request.last_log = {1, 1};
+  request.candidate_region = "r0";
   consensus_->HandleMessage(Message(request));
   auto response = outbox_.Last<VoteResponse>();
+  EXPECT_FALSE(response.granted);
+  EXPECT_EQ(response.reason, "stale-config");
+  EXPECT_EQ(consensus_->term(), 5u);
+
+  // Candidate with an empty log (and our config): vote denied on the log
+  // check.
+  request.candidate = "c";
+  request.last_log = kZeroOpId;
+  request.candidate_region = "r1";
+  StampVoterConfig(&request);
+  consensus_->HandleMessage(Message(request));
+  response = outbox_.Last<VoteResponse>();
   EXPECT_FALSE(response.granted);
   EXPECT_EQ(response.reason, "stale-log");
   EXPECT_EQ(consensus_->term(), 5u);
@@ -425,6 +445,7 @@ TEST_F(ConsensusUnitTest, PreVoteDoesNotDisturbState) {
   pre.term = 4;
   pre.last_log = {3, 1};
   pre.pre_vote = true;
+  StampVoterConfig(&pre);
   consensus_->HandleMessage(Message(pre));
   auto response = outbox_.Last<VoteResponse>();
   // Leader "b" is fresh: stickiness denies the pre-vote.
@@ -533,26 +554,38 @@ TEST_F(ConsensusUnitTest, QuiescedLeaderRejectsTransactionsOnly) {
 
 TEST_F(ConsensusUnitTest, ConfigChangeGatingAndCommit) {
   BecomeLeader();
+  // A follower ack echoing the leader's active config identity: the echo
+  // is what counts towards a config's install quorum.
+  auto ack_with_config = [&](const MemberId& peer) {
+    AppendEntriesResponse ack;
+    ack.from = peer;
+    ack.dest = "a";
+    ack.term = consensus_->term();
+    ack.success = true;
+    ack.last_received = consensus_->last_logged();
+    ack.last_durable_index = consensus_->last_logged().index;
+    ack.config_term = consensus_->config().config_term;
+    ack.config_version = consensus_->config().config_version;
+    consensus_->HandleMessage(Message(ack));
+  };
+  // Changes wait for the leadership no-op and the new leader's config
+  // rebase to commit; b's ack completes both (a + b = 2 of 3).
+  EXPECT_TRUE(consensus_->has_pending_config_change());
+  ack_with_config("b");
+  ASSERT_FALSE(consensus_->has_pending_config_change());
+
   MemberInfo member{"d", "r1", MemberKind::kMySql, RaftMemberType::kVoter};
   ASSERT_TRUE(consensus_->AddMember(member).ok());
   EXPECT_TRUE(consensus_->has_pending_config_change());
   EXPECT_TRUE(consensus_->AddMember(MemberInfo{"e", "r1", MemberKind::kMySql,
                                                RaftMemberType::kVoter})
                   .IsIllegalState());
-  EXPECT_TRUE(consensus_->config().Contains("d"));  // effective on append
+  EXPECT_TRUE(consensus_->config().Contains("d"));  // effective on propose
 
-  // Commit the config entry: now 4 voters, majority = 3.
-  const OpId config_opid = consensus_->last_logged();
-  for (const MemberId& peer : {"b", "c"}) {
-    AppendEntriesResponse ack;
-    ack.from = peer;
-    ack.dest = "a";
-    ack.term = consensus_->term();
-    ack.success = true;
-    ack.last_received = config_opid;
-    ack.last_durable_index = config_opid.index;
-    consensus_->HandleMessage(Message(ack));
-  }
+  // Commit the config: now 4 voters, so the install quorum is 3 of them.
+  ack_with_config("b");
+  EXPECT_TRUE(consensus_->has_pending_config_change());
+  ack_with_config("c");
   EXPECT_FALSE(consensus_->has_pending_config_change());
   // The new peer is being replicated to.
   EXPECT_TRUE(consensus_->peers().count("d") > 0);
@@ -588,6 +621,8 @@ TEST_F(ConsensusUnitTest, LearnerIgnoresElectionMachinery) {
   request.candidate = "b";
   request.dest = "a";
   request.term = 1;
+  request.config_term = learner.config().config_term;
+  request.config_version = learner.config().config_version;
   learner.HandleMessage(Message(request));
   auto response = outbox.Last<VoteResponse>();
   EXPECT_FALSE(response.granted);
@@ -621,6 +656,91 @@ TEST_F(ConsensusUnitTest, HeartbeatsFlowOnTick) {
     EXPECT_EQ(hb.term, consensus_->term());
   }
   EXPECT_GE(consensus_->stats().heartbeats_sent, 2u);
+}
+
+TEST_F(ConsensusUnitTest, ConfigPayloadOnlyToPeersBehindActiveIdentity) {
+  BecomeLeader();
+  const MembershipConfig rebased = consensus_->config();
+  // The leadership no-op is acked by both followers; b echoes the active
+  // (rebased) identity, c still echoes its pre-election one.
+  auto ack = [&](const MemberId& peer, uint64_t config_term) {
+    AppendEntriesResponse response;
+    response.from = peer;
+    response.dest = "a";
+    response.term = consensus_->term();
+    response.success = true;
+    response.last_received = consensus_->last_logged();
+    response.last_durable_index = consensus_->last_logged().index;
+    response.config_term = config_term;
+    response.config_version = rebased.config_version;
+    consensus_->HandleMessage(Message(response));
+  };
+  auto sent_to = [&](const MemberId& peer) {
+    std::vector<AppendEntriesRequest> out;
+    for (auto& request : outbox_.OfType<AppendEntriesRequest>()) {
+      if (request.dest == peer) out.push_back(std::move(request));
+    }
+    return out;
+  };
+  ack("b", rebased.config_term);
+  ack("c", 0);
+  ASSERT_FALSE(consensus_->has_pending_config_change());  // a + b
+
+  // Steady state: b holds the active config, so its heartbeat omits the
+  // payload; c's echo trails, so its heartbeat carries it.
+  outbox_.sent.clear();
+  clock_.AdvanceMicros(600'000);  // > 500ms heartbeat interval
+  consensus_->Tick();
+  ASSERT_EQ(sent_to("b").size(), 1u);
+  EXPECT_TRUE(sent_to("b")[0].IsHeartbeat());
+  EXPECT_TRUE(sent_to("b")[0].config_payload.empty());
+  ASSERT_EQ(sent_to("c").size(), 1u);
+  auto carried = DecodeMembershipConfig(sent_to("c")[0].config_payload);
+  ASSERT_TRUE(carried.ok()) << carried.status();
+  EXPECT_TRUE(carried->SameIdAs(rebased));
+
+  // Once c catches up, every heartbeat goes out bare.
+  ack("c", rebased.config_term);
+  outbox_.sent.clear();
+  clock_.AdvanceMicros(600'000);
+  consensus_->Tick();
+  ASSERT_EQ(outbox_.OfType<AppendEntriesRequest>().size(), 2u);
+  for (const auto& heartbeat : outbox_.OfType<AppendEntriesRequest>()) {
+    EXPECT_TRUE(heartbeat.config_payload.empty()) << heartbeat.dest;
+  }
+
+  // A proposal changes the active identity: the push that follows carries
+  // the new config to every peer.
+  outbox_.sent.clear();
+  ASSERT_TRUE(consensus_->SetQuorumSpec("majority").ok());
+  const MembershipConfig proposed = consensus_->config();
+  for (const MemberId& peer : {"b", "c"}) {
+    ASSERT_FALSE(sent_to(peer).empty()) << peer;
+    auto config = DecodeMembershipConfig(sent_to(peer)[0].config_payload);
+    ASSERT_TRUE(config.ok()) << peer << ": " << config.status();
+    EXPECT_TRUE(config->SameIdAs(proposed)) << peer;
+  }
+
+  // Commit it (a + b), then remove c: the farewell to c always carries the
+  // config that drops it, since c is no longer a peer.
+  AppendEntriesResponse installed;
+  installed.from = "b";
+  installed.dest = "a";
+  installed.term = consensus_->term();
+  installed.success = true;
+  installed.last_received = consensus_->last_logged();
+  installed.last_durable_index = consensus_->last_logged().index;
+  installed.config_term = proposed.config_term;
+  installed.config_version = proposed.config_version;
+  consensus_->HandleMessage(Message(installed));
+  ASSERT_FALSE(consensus_->has_pending_config_change());
+  outbox_.sent.clear();
+  ASSERT_TRUE(consensus_->RemoveMember("c").ok());
+  ASSERT_EQ(sent_to("c").size(), 1u);
+  auto farewell = DecodeMembershipConfig(sent_to("c")[0].config_payload);
+  ASSERT_TRUE(farewell.ok()) << farewell.status();
+  EXPECT_FALSE(farewell->Contains("c"));
+  EXPECT_TRUE(farewell->SameIdAs(consensus_->config()));
 }
 
 TEST_F(ConsensusUnitTest, MisaddressedMessagesIgnored) {
@@ -704,6 +824,7 @@ TEST_F(ConsensusUnitTest, VotesDeniedToRemovedCandidates) {
   request.term = 9;
   request.last_log = {8, 100};
   request.candidate_region = "r1";
+  StampVoterConfig(&request);
   consensus_->HandleMessage(Message(request));
   auto response = outbox_.Last<VoteResponse>();
   EXPECT_FALSE(response.granted);
@@ -966,6 +1087,8 @@ TEST_F(ConsensusUnitTest, RestartEmbargoesVotesThroughGrantWindow) {
   pre.last_log = restarted.last_logged();
   pre.candidate_region = "r1";
   pre.pre_vote = true;
+  pre.config_term = restarted.config().config_term;
+  pre.config_version = restarted.config().config_version;
   restarted.HandleMessage(Message(pre));
   auto response = outbox_.Last<VoteResponse>();
   EXPECT_FALSE(response.granted);
@@ -1000,6 +1123,7 @@ TEST_F(ConsensusUnitTest, FirstBootSkipsVoteEmbargo) {
   request.term = 1;
   request.last_log = kZeroOpId;
   request.candidate_region = "r0";
+  StampVoterConfig(&request);
   consensus_->HandleMessage(Message(request));
   auto response = outbox_.Last<VoteResponse>();
   EXPECT_TRUE(response.granted);

@@ -22,7 +22,7 @@ MembershipConfig PaperTopology() {
   // Primary region has 1 mysql + 2 logtailers; two remote regions each a
   // follower + 2 logtailers; plus one learner.
   MembershipConfig config;
-  config.config_index = 1;
+  config.config_version = 1;
   auto add = [&](const char* id, const char* region, MemberKind kind,
                  RaftMemberType type) {
     config.members.push_back(MemberInfo{id, region, kind, type});
@@ -101,25 +101,6 @@ TEST(MembershipTest, VersionedConfigCodecRoundTrip) {
   EXPECT_EQ(decoded->quorum_spec, "multi:2");
 }
 
-TEST(MembershipTest, UnversionedConfigEncodesPreReconfigCompatible) {
-  // A legacy (identity-less) config must encode byte-identically to the
-  // pre-reconfig format: old decoders reject trailing bytes, so the
-  // identity group must be absent, not zero-filled.
-  const auto legacy = PaperTopology();
-  std::string legacy_buf;
-  EncodeMembershipConfig(legacy, &legacy_buf);
-  auto versioned = legacy;
-  versioned.config_version = 1;
-  std::string versioned_buf;
-  EncodeMembershipConfig(versioned, &versioned_buf);
-  EXPECT_LT(legacy_buf.size(), versioned_buf.size());
-  auto decoded = DecodeMembershipConfig(legacy_buf);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->config_term, 0u);
-  EXPECT_EQ(decoded->config_version, 0u);
-  EXPECT_TRUE(decoded->quorum_spec.empty());
-}
-
 TEST(MembershipTest, ConfigIdentityOrderingTermDominates) {
   MembershipConfig a, b;
   a.config_term = 2;
@@ -162,11 +143,15 @@ TEST(LogEntryTest, RoundTrip) {
 }
 
 TEST(LogEntryTest, DecodeRejectsBadType) {
-  std::string buf;
-  LogEntry::Make({1, 1}, EntryType::kNoOp, "x").EncodeTo(&buf);
-  buf[2] = 99;  // type byte follows the two single-byte varints
-  Slice in(buf);
-  EXPECT_FALSE(LogEntry::DecodeFrom(&in).ok());
+  // 3 was the retired membership-change entry type: configs are never log
+  // entries, so it is as invalid as any other unknown byte.
+  for (const char bad : {char{3}, char{99}}) {
+    std::string buf;
+    LogEntry::Make({1, 1}, EntryType::kNoOp, "x").EncodeTo(&buf);
+    buf[2] = bad;  // type byte follows the two single-byte varints
+    Slice in(buf);
+    EXPECT_FALSE(LogEntry::DecodeFrom(&in).ok()) << int{bad};
+  }
 }
 
 AppendEntriesRequest MakeAppendRequest() {
@@ -266,8 +251,7 @@ TEST(MessagesTest, AppendEntriesConfigPayloadRoundTrip) {
   auto inner = DecodeMembershipConfig(decoded->config_payload);
   ASSERT_TRUE(inner.ok());
   EXPECT_EQ(*inner, PaperTopology());
-  // Without the config the encoding shrinks back to the pre-reconfig
-  // shape, which pre-reconfig decoders (rejecting trailing bytes) accept.
+  // Without the config (the peer already acked it) the group is absent.
   req.config_payload.clear();
   std::string plain;
   req.EncodeTo(&plain);
@@ -292,7 +276,7 @@ TEST(MessagesTest, AppendResponseConfigAckRoundTrip) {
   auto decoded = AppendEntriesResponse::DecodeFrom(buf);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(*decoded, resp);
-  // No ack → the trailing group vanishes (logless-off byte identity).
+  // No ack (identity (0,0)) → the trailing group vanishes.
   resp.config_term = 0;
   resp.config_version = 0;
   std::string plain;
