@@ -3,13 +3,12 @@
 // every quiescent window. Exit code 0 iff every run passed.
 //
 //   bench_chaos --seed=42                    one generated schedule
-//   bench_chaos --seed=1 --corpus=50         seeds 1..50 (the CI corpus)
+//   bench_chaos --seed=1 --corpus=75         seeds 1..75 (the CI corpus)
 //   bench_chaos --schedule=repro.chaos       replay a schedule file
 //   bench_chaos --seed=42 --minimize         ddmin a failure to a repro
 //   bench_chaos ... --out=fail.chaos --trace-out=fail.jsonl
 //   bench_chaos ... --bundle-out=fail.json   flight-recorder bundle on failure
 //   bench_chaos ... --raftstat               cluster DebugStatus at exit
-//   bench_chaos --seed=1 --corpus=25 --reconfig   membership-churn corpus
 //
 // Determinism contract: identical seeds produce byte-identical schedule
 // text and checker reports across runs (asserted by chaos_test and the
@@ -50,10 +49,6 @@ struct ChaosArgs {
   /// --raftstat: print cluster-wide DebugStatus after every failing run
   /// and at exit for the last run.
   bool raftstat = false;
-  /// --reconfig: enables the membership nemesis in generated schedules,
-  /// so the Config Safety invariant gets real work. It changes only the
-  /// schedules: every ring reconfigures through the logless path.
-  bool reconfig = false;
 };
 
 bool ParseChaosArgs(int argc, char** argv, ChaosArgs* args) {
@@ -85,8 +80,6 @@ bool ParseChaosArgs(int argc, char** argv, ChaosArgs* args) {
       args->bundle_out = argv[i] + 13;
     } else if (strcmp(argv[i], "--raftstat") == 0) {
       args->raftstat = true;
-    } else if (strcmp(argv[i], "--reconfig") == 0) {
-      args->reconfig = true;
     } else {
       fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return false;
@@ -95,18 +88,21 @@ bool ParseChaosArgs(int argc, char** argv, ChaosArgs* args) {
   return true;
 }
 
+/// Leases on: the runner's read workload then meets every clock fault
+/// under StaleReadUnderLease, and reads in each handoff window take the
+/// commit-barrier fallback.
 chaos::ChaosOptions RunnerOptions() {
   chaos::ChaosOptions options;
   options.cluster.topology.db_regions = 3;
   options.cluster.topology.logtailers_per_db = 2;
   options.cluster.topology.learners = 1;
+  options.cluster.raft.enable_leader_leases = true;
   return options;
 }
 
 int RunChaos(const ChaosArgs& args) {
   const chaos::ChaosOptions runner_options = RunnerOptions();
   chaos::NemesisOptions nemesis_options;
-  nemesis_options.reconfig_faults = args.reconfig;
   nemesis_options.duration_micros = args.duration_ms * 1'000;
   nemesis_options.quiesce_interval_micros = args.quiesce_ms * 1'000;
   if (args.quick) {

@@ -1,8 +1,9 @@
 // Read-path latency/throughput on the paper's 5-region topology (§13):
 //
-//   leader_quorum   leases disabled; every linearizable read pays a
-//                   ReadIndex-style quorum round (heartbeat RTT to a
-//                   majority) before serving locally — the baseline.
+//   leader_quorum   leases disabled; every linearizable read waits for
+//                   a ReadIndex commit-barrier no-op (one replication
+//                   round to a majority, shared by concurrent reads)
+//                   before serving locally — the baseline.
 //   leader_lease    LeaseGuard leases on; reads under a valid lease are
 //                   served from local applied state with zero quorum
 //                   round-trips.
@@ -24,7 +25,7 @@ namespace {
 
 constexpr uint64_t kSecond = 1'000'000;
 
-// Vanilla-majority quorums: with 5 regions a ReadIndex round must hear
+// Vanilla-majority quorums: with 5 regions a ReadIndex barrier must hear
 // from members outside the leader's region, so the baseline pays the
 // cross-region RTT the lease elides. (kSingleRegionDynamic would satisfy
 // the read quorum in-region and mask the contrast this bench measures.)

@@ -20,7 +20,7 @@
 //   Recovery            a crashed node restarts successfully from its
 //                       (possibly tail-torn) disk (checked by runner);
 //   StaleReadUnderLease a read served through the lease fast path (or a
-//                       quorum round) observes every write acked before
+//                       commit barrier) observes every write acked before
 //                       the read was issued — leases may refuse reads,
 //                       never answer with old data (§13; fed per-read by
 //                       the runner via ObserveRead);

@@ -9,9 +9,10 @@
 namespace myraft::chaos {
 namespace {
 
-// Weighted fault families the generator draws from. Crash faults dominate
-// (they exercise recovery, the richest bug surface), with torn crashes as
-// likely as clean ones when enabled.
+// Weighted fault families the generator draws from: every schedule draws
+// from all of them. Crash faults dominate (they exercise recovery, the
+// richest bug surface), with torn crashes as likely as clean ones when
+// enabled; clock drift (§13) and membership churn (§15) ride along.
 enum class Family {
   kCrash,
   kCrashTorn,
@@ -31,19 +32,7 @@ struct WeightedFamily {
   uint32_t weight;
 };
 
-bool FamilyEnabled(Family family, const NemesisOptions& options) {
-  if (family == Family::kCrashTorn) return options.allow_torn_crashes;
-  if (family == Family::kClockSkew || family == Family::kClockRate) {
-    return options.clock_faults;
-  }
-  if (family == Family::kReconfig) return options.reconfig_faults;
-  return true;
-}
-
 Family PickFamily(Random* rng, const NemesisOptions& options) {
-  // Clock families sit at the END of the table: with clock_faults off,
-  // the weight prefix (and so every historical seed's draw sequence) is
-  // unchanged.
   static constexpr WeightedFamily kFamilies[] = {
       {Family::kCrash, 3},   {Family::kCrashTorn, 3}, {Family::kOneWayCut, 2},
       {Family::kLinkCut, 2}, {Family::kPartition, 2}, {Family::kLoss, 1},
@@ -51,14 +40,17 @@ Family PickFamily(Random* rng, const NemesisOptions& options) {
       {Family::kClockSkew, 2}, {Family::kClockRate, 2},
       {Family::kReconfig, 3},
   };
+  auto enabled = [&](Family family) {
+    return family != Family::kCrashTorn || options.allow_torn_crashes;
+  };
   uint32_t total = 0;
   for (const WeightedFamily& f : kFamilies) {
-    if (!FamilyEnabled(f.family, options)) continue;
+    if (!enabled(f.family)) continue;
     total += f.weight;
   }
   uint32_t pick = static_cast<uint32_t>(rng->Uniform(total));
   for (const WeightedFamily& f : kFamilies) {
-    if (!FamilyEnabled(f.family, options)) continue;
+    if (!enabled(f.family)) continue;
     if (pick < f.weight) return f.family;
     pick -= f.weight;
   }

@@ -37,17 +37,6 @@ struct NemesisOptions {
   /// Probability that a crash-family fault targets "@leader".
   double target_leader_probability = 0.4;
   bool allow_torn_crashes = true;
-  /// Include bounded-clock-drift faults (§13: clock-skew / clock-rate on
-  /// single nodes, leader included). Off by default so schedules
-  /// generated from historical seeds stay byte-identical (checked-in
-  /// repros regenerate exactly).
-  bool clock_faults = false;
-  /// Include membership-churn faults (§15: remove/re-add a member,
-  /// demote/promote voter ↔ learner, driven through the live leader while
-  /// other faults are in flight). Off by default for the same historical
-  /// byte-identity reason as clock_faults: it only changes which
-  /// schedules are generated, since every ring reconfigures logless.
-  bool reconfig_faults = false;
 };
 
 /// `members` must be the full sorted member-id list (ClusterHarness::ids()

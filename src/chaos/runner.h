@@ -56,7 +56,7 @@ struct ChaosReport {
   uint64_t writes_acked = 0;
   uint64_t reads_issued = 0;
   uint64_t reads_ok = 0;
-  /// Successful reads served by the lease fast path (vs quorum rounds).
+  /// Successful reads served by the lease fast path (vs the barrier).
   uint64_t reads_lease = 0;
   uint64_t steps_applied = 0;
   /// Steps that resolved to nothing (e.g. "@leader" with no primary, or

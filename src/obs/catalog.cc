@@ -105,7 +105,7 @@ const MetricInfo kCatalog[] = {
     {"raft.reads_lease", "counter", "raft",
      "Linearizable reads served off the leader lease"},
     {"raft.reads_quorum", "counter", "raft",
-     "Linearizable reads served via a quorum round-trip"},
+     "Linearizable reads served after a commit-barrier no-op"},
     {"raft.reads_timed_out", "counter", "raft",
      "Linearizable reads abandoned at their deadline"},
     {"raft.stale_responses_ignored", "counter", "raft",

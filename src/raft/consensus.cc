@@ -532,6 +532,7 @@ void RaftConsensus::RunGroupSync() {
     follower_ack_lease_echo_ = 0;
     response.config_term = meta_.config.config_term;
     response.config_version = meta_.config.config_version;
+    response.config_pending = has_pending_config_change();
     outbox_->Send(std::move(response));
   }
 }
@@ -892,7 +893,7 @@ void RaftConsensus::SetCommitMarker(OpId new_marker) {
     }
   }
   listener_->OnCommitAdvanced(commit_marker_);
-  // Leases-off linearizable reads wait on their no-op barrier (§13.2).
+  // ReadIndex fallback reads wait on their no-op barrier (§13.2).
   CompleteBarrierReads();
 }
 
@@ -916,8 +917,9 @@ void RaftConsensus::StampLease(AppendEntriesRequest* request) {
   // group that pre-lease decoders reject as corruption, so they only go
   // on the wire when leases are enabled — which requires every member to
   // run a lease-aware binary. With leases off the encoding is
-  // byte-identical to the pre-lease format, and the read path uses the
-  // commit-barrier fallback instead of echoed-timestamp freshness.
+  // byte-identical to the pre-lease format. The echo only renews grants:
+  // reads without a valid lease confirm leadership through the commit
+  // barrier in both modes.
   if (!options_.enable_leader_leases) return;
   request->lease_sent_micros = clock_->NowMicros();
   request->lease_duration_micros = LeaseDurationMicros();
@@ -986,86 +988,36 @@ void RaftConsensus::LinearizableRead(ReadCallback done) {
     done(result);
     return;
   }
+  // ReadIndex fallback, leases on or off: capture the commit marker as the
+  // read point, then prove leadership by committing a no-op barrier. A
+  // committed current-term entry proves no rival quorum existed through
+  // the registration: any later election quorum intersects the barrier's
+  // commit quorum, and a voter that had already moved to a higher term
+  // cannot have acked it. Reads registered while a barrier is in flight
+  // share it, so a burst of reads costs one fan-out.
   PendingQuorumRead read;
   read.read_marker = commit_marker_;
   read.registered_micros = clock_->NowMicros();
   read.done = std::move(done);
-
-  if (!options_.enable_leader_leases) {
-    // Commit-barrier fallback: with leases off the wire carries no
-    // timestamp echo (pre-lease followers may be in the ring, §13.6), so
-    // leadership is confirmed the strongest way possible — replicate a
-    // no-op and serve when it commits. A committed current-term entry
-    // proves no rival quorum existed through the registration: any later
-    // election quorum intersects the barrier's commit quorum, and a voter
-    // that had already moved to a higher term cannot have acked it. Reads
-    // registered while a barrier is in flight share it.
-    if (read_barrier_index_ <= commit_marker_.index) {
-      auto noop = Replicate(EntryType::kNoOp, "");
-      if (!noop.ok()) {
-        result.status = noop.status();
-        read.done(result);
-        return;
-      }
-      read_barrier_index_ = noop->index;
+  if (read_barrier_index_ <= commit_marker_.index) {
+    auto noop = Replicate(EntryType::kNoOp, "");
+    if (!noop.ok()) {
+      result.status = noop.status();
+      read.done(result);
+      return;
     }
-    read.barrier_index = read_barrier_index_;
-    pending_reads_.push_back(std::move(read));
-    // Single-voter rings commit inside Replicate, before the read could
-    // register; catch up immediately instead of waiting for an ack.
-    CompleteBarrierReads();
-    return;
+    read_barrier_index_ = noop->index;
   }
-
-  // ReadIndex echo round (leases on, so every follower echoes our send
-  // timestamp): capture the commit marker as the read point, then confirm
-  // we are still the quorum's leader with one round of acks that were
-  // sent AFTER this registration — a deposed leader's stale marker can
-  // never gather fresh current-term acks.
-  read.confirmed.insert(options_.self);
+  read.barrier_index = read_barrier_index_;
   pending_reads_.push_back(std::move(read));
-  if (quorum_->IsCommitQuorumSatisfied(MakeQuorumContext(options_.self),
-                                       pending_reads_.back().confirmed)) {
-    // Single-voter data quorum.
-    ConfirmQuorumReads(options_.self, clock_->NowMicros());
-    return;
-  }
-  for (const auto& [peer_id, peer] : peers_) {
-    SendAppendEntriesTo(peer_id, /*allow_empty=*/true);
-  }
-}
-
-void RaftConsensus::ConfirmQuorumReads(const MemberId& from,
-                                       uint64_t acked_sent_micros) {
-  if (pending_reads_.empty()) return;
-  for (auto& read : pending_reads_) {
-    // Only an ack to an AppendEntries we sent at-or-after registration
-    // proves we were still the quorum's leader at the read point; an ack
-    // already in flight when the read arrived proves nothing.
-    if (acked_sent_micros >= read.registered_micros) {
-      read.confirmed.insert(from);
-    }
-  }
-  // Pop before firing: a callback may re-enter LinearizableRead. Barrier
-  // reads (barrier_index != 0) complete on commit-marker advance, not on
-  // ack counts — skip them here.
-  while (!pending_reads_.empty() && pending_reads_.front().barrier_index == 0 &&
-         quorum_->IsCommitQuorumSatisfied(MakeQuorumContext(options_.self),
-                                          pending_reads_.front().confirmed)) {
-    PendingQuorumRead read = std::move(pending_reads_.front());
-    pending_reads_.pop_front();
-    m_.reads_quorum->Increment();
-    ReadResult result;
-    result.status = Status::OK();
-    result.read_index = read.read_marker;
-    read.done(result);
-  }
+  // Single-voter rings commit inside Replicate, before the read could
+  // register; catch up immediately instead of waiting for an ack.
+  CompleteBarrierReads();
 }
 
 void RaftConsensus::CompleteBarrierReads() {
   // Pop before firing: a callback may re-enter LinearizableRead.
   while (!pending_reads_.empty() &&
-         pending_reads_.front().barrier_index != 0 &&
          pending_reads_.front().barrier_index <= commit_marker_.index) {
     PendingQuorumRead read = std::move(pending_reads_.front());
     pending_reads_.pop_front();
@@ -1079,9 +1031,8 @@ void RaftConsensus::CompleteBarrierReads() {
 
 uint64_t RaftConsensus::ReadDeadlineMicros() const {
   // One RPC timeout plus an election timeout: long enough for any healthy
-  // confirmation round (echo acks or a barrier commit) to land, short
-  // enough that a quorum-severed leader sheds callbacks at the same scale
-  // its clients give up.
+  // barrier no-op to commit, short enough that a quorum-severed leader
+  // sheds callbacks at the same scale its clients give up.
   return options_.rpc_timeout_micros + ElectionTimeoutMicros();
 }
 
@@ -1177,8 +1128,15 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
   // The response echoes the installed identity either way; that echo is
   // what drives the leader's install quorum.
   MaybeInstallConfig(request);
+  // Followers never see the install quorum; the leader names its
+  // committed identity, which counts only if it is the one installed.
+  if (request.committed_config_term == meta_.config.config_term &&
+      request.committed_config_version == meta_.config.config_version) {
+    MarkConfigCommitted();
+  }
   response.config_term = meta_.config.config_term;
   response.config_version = meta_.config.config_version;
+  response.config_pending = has_pending_config_change();
 
   // Log-matching check on the preceding entry.
   if (request.prev.index > 0) {
@@ -1319,8 +1277,8 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
   }
   response.last_durable_index = last_synced_index_;
   if (request.lease_sent_micros != 0 && IsVoterSelf()) {
-    // Echo the leader's send timestamp: ReadIndex freshness proof always,
-    // and — when the request carried a duration — a lease grant (§13).
+    // Echo the leader's send timestamp: when the request carried a
+    // duration, the echo is a lease grant (§13).
     // The grant promise (not electing a rival before it expires) is kept
     // by our own election timer, which last_leader_contact_micros_ just
     // re-armed.
@@ -1368,6 +1326,7 @@ void RaftConsensus::HandleAppendEntriesResponse(
     peer.acked_config_version = response.config_version;
     MaybeCommitConfig();
   }
+  peer.config_pending = response.config_pending;
 
   if (response.success) {
     // Retire every in-flight batch the follower's tail now covers. Acks
@@ -1411,11 +1370,6 @@ void RaftConsensus::HandleAppendEntriesResponse(
     RecordLeaseGrant(response, &peer);
     last_commit_completer_ = response.from;  // straggler if the marker moves
     AdvanceCommitMarker();
-    // A current-term success doubles as leadership confirmation for the
-    // ReadIndex rounds whose registration its echoed send time postdates.
-    if (response.term == meta_.current_term) {
-      ConfirmQuorumReads(response.from, response.lease_granted_micros);
-    }
 
     // Graceful transfer: once the quiesced target is fully caught up,
     // fire TimeoutNow (§2.2 Promotion).
@@ -1967,7 +1921,7 @@ void RaftConsensus::StepDown(uint64_t new_term, const MemberId& new_leader,
   follower_ack_verified_index_ = 0;
   follower_ack_lease_echo_ = 0;
   // Deposed leaseholder fencing (§13): the lease died with the peer
-  // state above; reads parked on a quorum round can never confirm now.
+  // state above; reads parked on a barrier can never complete now.
   lease_serve_after_micros_ = 0;
   read_barrier_index_ = 0;
   FailPendingReads(Status::Aborted("leadership lost"));
@@ -2281,12 +2235,20 @@ void RaftConsensus::StampConfig(const PeerStatus* peer,
   // installs only move forward. Every other case — an unknown peer, a new
   // leader's rebase, a pending change, a farewell — carries the payload,
   // so install stays decoupled from any particular batch.
-  if (peer != nullptr && peer->acked_config_term == meta_.config.config_term &&
-      peer->acked_config_version == meta_.config.config_version) {
-    return;
+  const bool acked = peer != nullptr &&
+                     peer->acked_config_term == meta_.config.config_term &&
+                     peer->acked_config_version == meta_.config.config_version;
+  if (!acked) {
+    request->config_payload.clear();
+    EncodeMembershipConfig(meta_.config, &request->config_payload);
   }
-  request->config_payload.clear();
-  EncodeMembershipConfig(meta_.config, &request->config_payload);
+  // Likewise the committed identity goes only to a peer that has not yet
+  // reported its installed config committed.
+  if ((!acked || peer->config_pending) &&
+      meta_.committed_config.SameIdAs(meta_.config)) {
+    request->committed_config_term = meta_.config.config_term;
+    request->committed_config_version = meta_.config.config_version;
+  }
 }
 
 Status RaftConsensus::ApplyConfig(const MembershipConfig& config) {

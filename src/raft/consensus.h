@@ -273,6 +273,9 @@ class RaftConsensus {
     /// the payload once the peer holds the active config.
     uint64_t acked_config_term = 0;
     uint64_t acked_config_version = 0;
+    /// The peer's last response said its installed config is not yet
+    /// known committed there; StampConfig then names the committed one.
+    bool config_pending = false;
   };
 
   /// Point-in-time snapshot of the registry-backed "raft.*" counters.
@@ -394,11 +397,12 @@ class RaftConsensus {
   using ReadCallback = std::function<void(const ReadResult&)>;
   /// Linearizable read point (§13). Under a valid leader lease the
   /// callback fires immediately — zero quorum round-trips — with the
-  /// current commit marker as the read index; otherwise a ReadIndex-style
-  /// round confirms leadership with fresh quorum acks first. Fails with
+  /// current commit marker as the read index; otherwise the ReadIndex
+  /// fallback confirms leadership by committing a no-op barrier first
+  /// (shared by every read registered while it is in flight). Fails with
   /// IllegalState on non-leaders, ServiceUnavailable before the
   /// leadership no-op commits, and Aborted when leadership is lost while
-  /// a quorum round is in flight.
+  /// a barrier is in flight.
   void LinearizableRead(ReadCallback done);
   /// True when this leader currently holds unexpired lease grants from a
   /// commit quorum and the deferred-handoff wait has passed.
@@ -590,19 +594,12 @@ class RaftConsensus {
   /// successor, electable well inside the grants' lifetime, can never
   /// race this (still unaware, not yet deposed) leaseholder's reads.
   void RevokeLease();
-  /// Count `from`'s fresh current-term ack towards the in-flight
-  /// ReadIndex rounds it postdates, and release the rounds whose quorum
-  /// is now confirmed. `acked_sent_micros` is our own send timestamp the
-  /// ack echoed back: only acks to AppendEntries sent at-or-after a
-  /// round's registration prove we were still leader then — an ack that
-  /// was already in flight proves nothing about the present.
-  void ConfirmQuorumReads(const MemberId& from, uint64_t acked_sent_micros);
-  /// Fire barrier-fallback reads (leases off) whose no-op barrier the
-  /// commit marker now covers.
+  /// Fire ReadIndex fallback reads whose no-op barrier the commit marker
+  /// now covers.
   void CompleteBarrierReads();
   void FailPendingReads(const Status& reason);
-  /// Leader-side ceiling on how long a registered quorum read may sit
-  /// unconfirmed before it fails with TimedOut.
+  /// Leader-side ceiling on how long a registered read may wait for its
+  /// barrier to commit before it fails with TimedOut.
   uint64_t ReadDeadlineMicros() const;
   Status AppendToLocalLog(const LogEntry& entry);
   Result<std::vector<LogEntry>> FetchEntriesFor(uint64_t next_index,
@@ -681,9 +678,9 @@ class RaftConsensus {
     metrics::Counter* lease_renewals;
     /// LinearizableRead served locally under a valid lease.
     metrics::Counter* reads_lease;
-    /// LinearizableRead served via the ReadIndex quorum fallback.
+    /// LinearizableRead served via the ReadIndex commit-barrier fallback.
     metrics::Counter* reads_quorum;
-    /// Pending quorum reads failed at the leader-side deadline (a leader
+    /// Pending barrier reads failed at the leader-side deadline (a leader
     /// cut off from its quorum must not hoard read callbacks forever).
     metrics::Counter* reads_timed_out;
     /// Window occupancy (batches in flight) sampled at each batch send.
@@ -747,21 +744,18 @@ class RaftConsensus {
   /// fresh leader refuses lease reads, waiting out every grant the
   /// deposed leader could still hold. 0 outside leadership.
   uint64_t lease_serve_after_micros_ = 0;
-  /// ReadIndex fallback rounds awaiting fresh quorum acks (leader side).
+  /// ReadIndex fallback reads awaiting their barrier commit (leader side).
   struct PendingQuorumRead {
     OpId read_marker;
-    /// Registration time (our clock): acks only count if they echo a
-    /// send timestamp at or after this.
+    /// Registration time (our clock), for the Tick read deadline.
     uint64_t registered_micros = 0;
-    /// Commit-barrier fallback (leases off): index of the no-op this read
-    /// completes on instead of counting echoed acks. 0 = echo round.
+    /// Index of the no-op barrier this read completes on.
     uint64_t barrier_index = 0;
-    std::set<MemberId> confirmed;
     ReadCallback done;
   };
   std::deque<PendingQuorumRead> pending_reads_;
-  /// In-flight read-barrier no-op (leases off): reads registered while it
-  /// is uncommitted share it instead of appending one no-op each.
+  /// In-flight read-barrier no-op: reads registered while it is
+  /// uncommitted share it instead of appending one no-op each.
   uint64_t read_barrier_index_ = 0;
   /// Startup lease embargo (§13.6): until this leader-clock instant, a
   /// freshly restarted voter refuses pre-votes AND binding votes — a

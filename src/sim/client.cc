@@ -226,7 +226,7 @@ void SimClient::ClientRead(const std::string& key,
         return;
       }
       // Leader read: establish the read index (lease fast path, or a
-      // ReadIndex quorum round), then serve at that index.
+      // ReadIndex commit barrier), then serve at that index.
       node->server()->consensus()->LinearizableRead(
           [node, key, reply](const raft::RaftConsensus::ReadResult& rr) {
             if (!rr.status.ok()) {

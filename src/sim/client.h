@@ -47,7 +47,7 @@ struct ClientWriteResult {
 /// How a client read is routed (§13).
 enum class ReadMode {
   /// To the leader: LinearizableRead (local under a valid lease, else
-  /// a ReadIndex-style quorum round), then served at the read index.
+  /// a ReadIndex commit barrier), then served at the read index.
   kLeader,
   /// To a follower picked by the proxy's staleness-budget steering,
   /// gated on the client's last-seen index (read-your-writes).
@@ -59,7 +59,7 @@ struct ClientReadResult {
   uint64_t latency_micros = 0;
   std::optional<std::string> value;
   /// Leader reads: whether the lease fast path served it (false =
-  /// quorum round). Always false for follower reads.
+  /// commit barrier). Always false for follower reads.
   bool served_by_lease = false;
   /// Apply cursor of the serving member — feed into the next read's
   /// `min_index` for session monotonicity.

@@ -69,7 +69,9 @@ void AppendEntriesRequest::EncodeTo(std::string* dst) const {
   // lease group sits after it, and the config group after that, so a
   // present later group forces every earlier one out (zeros allowed) to
   // keep the groups positionally unambiguous.
-  const bool has_config = !config_payload.empty();
+  const bool has_committed =
+      committed_config_term != 0 || committed_config_version != 0;
+  const bool has_config = !config_payload.empty() || has_committed;
   const bool has_lease = lease_duration_micros != 0 ||
                          lease_sent_micros != 0 || has_config;
   if (trace_id != 0 || trace_span_id != 0 || has_lease) {
@@ -81,6 +83,10 @@ void AppendEntriesRequest::EncodeTo(std::string* dst) const {
     PutVarint64(dst, lease_sent_micros);
   }
   if (has_config) PutLengthPrefixed(dst, config_payload);
+  if (has_committed) {
+    PutVarint64(dst, committed_config_term);
+    PutVarint64(dst, committed_config_version);
+  }
 }
 
 Result<AppendEntriesRequest> AppendEntriesRequest::DecodeFrom(Slice in) {
@@ -120,6 +126,12 @@ Result<AppendEntriesRequest> AppendEntriesRequest::DecodeFrom(Slice in) {
     }
     req.config_payload = config.ToString();
   }
+  if (!in.empty()) {  // optional committed identity (absent = not stamped)
+    if (!GetVarint64(&in, &req.committed_config_term) ||
+        !GetVarint64(&in, &req.committed_config_version)) {
+      return Truncated("append-entries committed config");
+    }
+  }
   if (!in.empty()) return Status::Corruption("wire: trailing bytes");
   return req;
 }
@@ -144,7 +156,8 @@ void AppendEntriesResponse::EncodeTo(std::string* dst) const {
   // Optional trailing groups, as in the request: a present later group
   // forces every earlier one out so the groups stay positionally
   // unambiguous.
-  const bool has_config = config_term != 0 || config_version != 0;
+  const bool has_config =
+      config_term != 0 || config_version != 0 || config_pending;
   const bool has_lease = lease_granted_micros != 0 || has_config;
   if (trace_id != 0 || trace_span_id != 0 || has_lease) {
     PutVarint64(dst, trace_id);
@@ -155,6 +168,7 @@ void AppendEntriesResponse::EncodeTo(std::string* dst) const {
     PutVarint64(dst, config_term);
     PutVarint64(dst, config_version);
   }
+  if (config_pending) PutVarint64(dst, 1);
 }
 
 Result<AppendEntriesResponse> AppendEntriesResponse::DecodeFrom(Slice in) {
@@ -187,6 +201,13 @@ Result<AppendEntriesResponse> AppendEntriesResponse::DecodeFrom(Slice in) {
         !GetVarint64(&in, &resp.config_version)) {
       return Truncated("append-response config ack");
     }
+  }
+  if (!in.empty()) {  // optional pending flag (absent = committed)
+    uint64_t pending;
+    if (!GetVarint64(&in, &pending) || pending != 1) {
+      return Status::Corruption("wire: bad config-pending flag");
+    }
+    resp.config_pending = true;
   }
   if (!in.empty()) return Status::Corruption("wire: trailing bytes");
   return resp;

@@ -54,14 +54,11 @@ struct AppendEntriesRequest {
   /// `lease_duration_micros` after receipt (0 = leases off, no promise
   /// requested). `lease_sent_micros` is the leader's local send
   /// timestamp, echoed back verbatim in the response: lease-expiry
-  /// arithmetic stays on the leader's clock, and the echo doubles as the
-  /// ReadIndex freshness proof. A second optional trailing varint group
-  /// after the trace pair. Wire compatibility (§13.6): pre-lease decoders
-  /// reject ANY trailing bytes, so these fields are stamped only when
-  /// `enable_leader_leases` is on — which therefore requires a fully
-  /// upgraded cluster. With leases off the encoding is byte-identical to
-  /// the pre-lease format and linearizable reads use the commit-barrier
-  /// fallback instead of the echo.
+  /// arithmetic stays on the leader's clock. A second optional trailing
+  /// varint group after the trace pair. Wire compatibility (§13.6):
+  /// pre-lease decoders reject ANY trailing bytes, so these fields are
+  /// stamped only when `enable_leader_leases` is on — which therefore
+  /// requires a fully upgraded cluster.
   uint64_t lease_duration_micros = 0;
   uint64_t lease_sent_micros = 0;
   /// Logless reconfiguration (DESIGN.md §15): the leader's current
@@ -71,6 +68,13 @@ struct AppendEntriesRequest {
   /// steady-state heartbeats skip it. A third optional trailing group
   /// after the lease pair; absent when empty.
   std::string config_payload;
+  /// Identity of the leader's committed config, stamped only for a peer
+  /// that has not yet reported it committed. Followers never see the
+  /// install quorum, so this is how they learn commitment; a follower
+  /// applies it only when it equals its own installed identity. A fourth
+  /// optional trailing varint pair; absent when zero.
+  uint64_t committed_config_term = 0;
+  uint64_t committed_config_version = 0;
 
   bool operator==(const AppendEntriesRequest&) const = default;
 
@@ -105,8 +109,8 @@ struct AppendEntriesResponse {
   uint64_t trace_span_id = 0;
   /// Echo of the request's `lease_sent_micros` from a voter (0 from
   /// non-voters, pre-lease followers, and whenever the request carried no
-  /// stamp): proves to the leader how fresh this ack is (ReadIndex), and —
-  /// when the request carried a duration — records the lease grant.
+  /// stamp): when the request carried a duration, records the lease
+  /// grant.
   /// Optional trailing varint, same compatibility scheme as the request:
   /// absent when zero, so leases-off traffic stays pre-lease-decodable.
   uint64_t lease_granted_micros = 0;
@@ -118,6 +122,10 @@ struct AppendEntriesResponse {
   /// groups before it).
   uint64_t config_term = 0;
   uint64_t config_version = 0;
+  /// The installed config is not yet known committed here: asks the
+  /// leader to stamp its committed identity. Optional trailing varint
+  /// after the config pair; absent when false (the steady state).
+  bool config_pending = false;
 
   bool operator==(const AppendEntriesResponse&) const = default;
 

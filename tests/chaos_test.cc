@@ -375,23 +375,26 @@ TEST(ChaosLeaseTest, GrantorCrashRestartRacingElectionServesNoStaleReads) {
 }
 
 TEST(ChaosLeaseTest, GeneratedClockFaultCorpusStaysClean) {
-  // End-to-end nemesis coverage: a generated schedule with the clock
-  // family enabled, run with leases on. Pins the generator's clock-step
-  // shapes (skew/rate with params, paired heals) through the runner.
-  NemesisOptions nemesis;
-  nemesis.clock_faults = true;
-  const ChaosOptions options = LeaseOptions();
-  const Schedule schedule = GenerateSchedule(
-      21, TopologyMemberIds(options.cluster), nemesis);
-  const bool has_clock_step = std::any_of(
-      schedule.steps.begin(), schedule.steps.end(), [](const FaultStep& s) {
-        return s.action == FaultAction::kClockSkew ||
-               s.action == FaultAction::kClockRate;
-      });
-  EXPECT_TRUE(has_clock_step) << schedule.ToText();
+  // End-to-end nemesis coverage: generated seed 21 from the clock-fault
+  // corpus, frozen as text so it replays byte-identically whatever the
+  // generator draws today, run with leases on. Pins the generator's
+  // clock-step shapes (rate with param, paired heal) through the runner.
+  auto schedule = Schedule::Parse(
+      "seed 21\n"
+      "duration 20000000\n"
+      "quiesce 5000000\n"
+      "step 4139065 clock-rate db0 1145192\n"
+      "step 4742999 loss 96215\n"
+      "step 5276243 loss 0\n"
+      "step 6430449 clock-heal db0\n"
+      "step 9981307 loss 88317\n"
+      "step 10553672 loss 0\n"
+      "step 12154503 crash db0\n"
+      "step 12177239 duplicate 122741\n");
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
 
-  ChaosRunner runner(options, FlexiEngine());
-  const ChaosReport report = runner.Run(schedule);
+  ChaosRunner runner(LeaseOptions(), FlexiEngine());
+  const ChaosReport report = runner.Run(*schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.reads_ok, 0u) << report.ToText();
 }
@@ -471,42 +474,88 @@ TEST(ChaosReconfigTest, ConcurrentChangeStormStaysSafe) {
 }
 
 TEST(ChaosReconfigTest, GeneratedMembershipCorpusKeepsConfigSafety) {
-  // End-to-end nemesis coverage: a generated schedule with the
-  // membership family enabled.
-  // Pins the generator's reconfig step shapes (remove always paired
-  // with a later re-add; demote with a heal-gated promote) through the
-  // runner and the ConfigSafety audit.
-  NemesisOptions nemesis;
-  nemesis.reconfig_faults = true;
-  const ChaosOptions options = PaperTopologyOptions();
-  const Schedule schedule = GenerateSchedule(
-      37, TopologyMemberIds(options.cluster), nemesis);
-  const bool has_reconfig_step = std::any_of(
-      schedule.steps.begin(), schedule.steps.end(), [](const FaultStep& s) {
-        return s.action == FaultAction::kReconfig;
-      });
-  EXPECT_TRUE(has_reconfig_step) << schedule.ToText();
+  // End-to-end nemesis coverage: generated seed 37 from the membership
+  // corpus, frozen as text so it replays byte-identically. Pins the
+  // generator's reconfig step shapes (demote with a heal-gated promote)
+  // through the runner and the ConfigSafety audit.
+  auto schedule = Schedule::Parse(
+      "seed 37\n"
+      "duration 20000000\n"
+      "quiesce 5000000\n"
+      "step 608621 duplicate 64820\n"
+      "step 1008561 reconfig demote lt2b\n"
+      "step 1847636 reconfig promote lt2b\n"
+      "step 2014199 duplicate 0\n"
+      "step 4433119 partition lt1b lt1a lt2b db1 lt0b\n"
+      "step 4665216 partition lt2b lt2a db0 db1 lt0a\n"
+      "step 5998766 partition-heal lt1b lt1a lt2b db1 lt0b\n"
+      "step 6484419 partition-heal lt2b lt2a db0 db1 lt0a\n"
+      "step 12089802 oneway-cut @leader lt0a\n"
+      "step 13429313 oneway-heal @leader lt0a\n");
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
 
-  ChaosRunner runner(options, FlexiEngine());
-  const ChaosReport report = runner.Run(schedule);
+  ChaosRunner runner(PaperTopologyOptions(), FlexiEngine());
+  const ChaosReport report = runner.Run(*schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
+}
 
-  // Determinism holds for the new family too (CI replays by seed).
-  EXPECT_EQ(GenerateSchedule(37, TopologyMemberIds(options.cluster), nemesis)
-                .ToText(),
-            schedule.ToText());
+TEST(ChaosScheduleTest, GeneratorDrawsEveryFaultFamily) {
+  // One corpus: every generated schedule draws from every family, so
+  // the clock (§13) and membership (§15) steps show up across a handful
+  // of seeds, with the step shapes the runner expects. Determinism holds
+  // for those families too (CI replays by seed).
+  const std::vector<MemberId> members =
+      TopologyMemberIds(PaperTopologyOptions().cluster);
+  bool has_clock_step = false;
+  bool has_reconfig_step = false;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const Schedule schedule = GenerateSchedule(seed, members);
+    EXPECT_EQ(GenerateSchedule(seed, members).ToText(), schedule.ToText());
+    for (const FaultStep& step : schedule.steps) {
+      if (step.action == FaultAction::kClockSkew ||
+          step.action == FaultAction::kClockRate) {
+        has_clock_step = true;
+        ASSERT_EQ(step.targets.size(), 1u) << schedule.ToText();
+        EXPECT_GT(step.param, 0u) << schedule.ToText();
+      }
+      if (step.action == FaultAction::kReconfig) {
+        has_reconfig_step = true;
+        ASSERT_EQ(step.targets.size(), 2u) << schedule.ToText();
+      }
+    }
+  }
+  EXPECT_TRUE(has_clock_step);
+  EXPECT_TRUE(has_reconfig_step);
 }
 
 TEST(ChaosRegressionTest, Seed9DoubleLeaderScheduleStaysClean) {
   // The generated corpus schedule that originally exposed the FlexiRaft
   // double-leader (two candidates aggregating divergent stale last-leader
-  // views won the same term with disjoint quorums), replayed verbatim.
-  const ChaosOptions options = PaperTopologyOptions();
-  const Schedule schedule = GenerateSchedule(
-      9, TopologyMemberIds(options.cluster), NemesisOptions{});
-  ChaosRunner runner(options, FlexiEngine());
-  const ChaosReport report = runner.Run(schedule);
+  // views won the same term with disjoint quorums), frozen as text so it
+  // replays verbatim.
+  auto schedule = Schedule::Parse(
+      "seed 9\n"
+      "duration 20000000\n"
+      "quiesce 5000000\n"
+      "step 3512922 crash lt1a\n"
+      "step 6337729 partition db0 lt2a learner0 lt2b\n"
+      "step 7310978 partition-heal db0 lt2a learner0 lt2b\n"
+      "step 8772557 crash-torn lt2a\n"
+      "step 9254592 link-cut lt1b lt1a\n"
+      "step 9582822 restart *\n"
+      "step 11657025 link-heal lt1b lt1a\n"
+      "step 13184796 partition @leader lt0a\n"
+      "step 14983655 partition-heal @leader lt0a\n"
+      "step 16724102 jitter 27713\n"
+      "step 17029601 crash db0\n"
+      "step 17519003 restart *\n"
+      "step 18491216 jitter 0\n"
+      "step 18957922 oneway-cut @leader lt1b\n"
+      "step 20563633 oneway-heal @leader lt1b\n");
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
+  ChaosRunner runner(PaperTopologyOptions(), FlexiEngine());
+  const ChaosReport report = runner.Run(*schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
 }
 

@@ -512,6 +512,30 @@ TEST(ClusterMembershipTest, NewLeaderRebaseSupersedesDeposedLeadersConfig) {
     EXPECT_FALSE(nodes.node(id)->consensus()->config().Contains("d")) << id;
   }
   EXPECT_FALSE(new_leader->has_pending_config_change());
+
+  // Followers learn commitment from the leader too: within a few
+  // heartbeats every node, the deposed leader included, reports the
+  // rebased config committed and nothing pending.
+  auto all_committed = [&] {
+    for (const MemberId& id : nodes.ids()) {
+      if (nodes.node(id)->consensus()->has_pending_config_change()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const uint64_t commit_deadline = nodes.loop()->now() + 5 * kSecond;
+  while (nodes.loop()->now() < commit_deadline && !all_committed()) {
+    nodes.loop()->RunFor(100'000);
+  }
+  for (const MemberId& id : nodes.ids()) {
+    raft::RaftConsensus* c = nodes.node(id)->consensus();
+    EXPECT_TRUE(c->committed_config().SameIdAs(new_leader->config())) << id;
+    EXPECT_FALSE(c->has_pending_config_change()) << id;
+    EXPECT_NE(c->DebugStatus().ToJson().find("\"config_committed\":true"),
+              std::string::npos)
+        << id << ": " << c->DebugStatus().ToJson();
+  }
 }
 
 TEST(ClusterMembershipTest, PendingChangeClosesEveryMembershipEntryPoint) {

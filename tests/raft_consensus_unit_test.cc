@@ -743,6 +743,75 @@ TEST_F(ConsensusUnitTest, ConfigPayloadOnlyToPeersBehindActiveIdentity) {
   EXPECT_TRUE(farewell->SameIdAs(consensus_->config()));
 }
 
+TEST_F(ConsensusUnitTest, FollowerLearnsConfigCommitFromLeader) {
+  // Follower side: installing a newer config leaves it pending here — the
+  // install quorum is only visible to the leader.
+  MembershipConfig newer = consensus_->config();
+  newer.config_term = 1;
+  auto request = MakeAppend(1, kZeroOpId, {});
+  EncodeMembershipConfig(newer, &request.config_payload);
+  consensus_->HandleMessage(Message(request));
+  ASSERT_TRUE(consensus_->config().SameIdAs(newer));
+  EXPECT_TRUE(consensus_->has_pending_config_change());
+  EXPECT_TRUE(outbox_.Last<AppendEntriesResponse>().config_pending);
+
+  // A committed identity other than the installed one proves nothing.
+  request = MakeAppend(1, kZeroOpId, {});
+  request.committed_config_term = newer.config_term;
+  request.committed_config_version = newer.config_version + 1;
+  consensus_->HandleMessage(Message(request));
+  EXPECT_TRUE(consensus_->has_pending_config_change());
+
+  // The installed identity, named by the leader, commits it here too.
+  request.committed_config_version = newer.config_version;
+  consensus_->HandleMessage(Message(request));
+  EXPECT_FALSE(consensus_->has_pending_config_change());
+  EXPECT_TRUE(consensus_->committed_config().SameIdAs(newer));
+  EXPECT_FALSE(outbox_.Last<AppendEntriesResponse>().config_pending);
+}
+
+TEST_F(ConsensusUnitTest, CommittedIdentityOnlyToPeersReportingPending) {
+  BecomeLeader();
+  const MembershipConfig rebased = consensus_->config();
+  auto ack = [&](const MemberId& peer, bool pending) {
+    AppendEntriesResponse response;
+    response.from = peer;
+    response.dest = "a";
+    response.term = consensus_->term();
+    response.success = true;
+    response.last_received = consensus_->last_logged();
+    response.last_durable_index = consensus_->last_logged().index;
+    response.config_term = rebased.config_term;
+    response.config_version = rebased.config_version;
+    response.config_pending = pending;
+    consensus_->HandleMessage(Message(response));
+  };
+  auto heartbeat_to = [&](const MemberId& peer) {
+    outbox_.sent.clear();
+    clock_.AdvanceMicros(600'000);  // > 500ms heartbeat interval
+    consensus_->Tick();
+    for (auto& request : outbox_.OfType<AppendEntriesRequest>()) {
+      if (request.dest == peer) return request;
+    }
+    ADD_FAILURE() << "no heartbeat to " << peer;
+    return AppendEntriesRequest{};
+  };
+  // b installed the rebased config but has not learned it committed; c
+  // already knows. Only b's heartbeat names the committed identity.
+  ack("b", true);
+  ack("c", false);
+  ASSERT_FALSE(consensus_->has_pending_config_change());
+  const AppendEntriesRequest to_b = heartbeat_to("b");
+  EXPECT_EQ(to_b.committed_config_term, rebased.config_term);
+  EXPECT_EQ(to_b.committed_config_version, rebased.config_version);
+  EXPECT_TRUE(to_b.config_payload.empty());
+  EXPECT_EQ(heartbeat_to("c").committed_config_term, 0u);
+
+  // Once b reports it committed, its heartbeats go out bare again.
+  ack("b", false);
+  EXPECT_EQ(heartbeat_to("b").committed_config_term, 0u);
+}
+
 TEST_F(ConsensusUnitTest, MisaddressedMessagesIgnored) {
   auto request = MakeAppend(1, kZeroOpId, {E(1, 1, "x")});
   request.dest = "someone-else";
@@ -894,18 +963,24 @@ TEST_F(ConsensusUnitTest, NewLeaderDefersLeaseServiceThroughHandoffWindow) {
   AckAll("b", sent);
   EXPECT_FALSE(consensus_->HasValidLease());
 
-  // Reads still work: they fall back to a ReadIndex quorum round.
+  // Reads still work: they fall back to one commit-barrier no-op.
   outbox_.sent.clear();
+  const uint64_t before = consensus_->last_logged().index;
   bool done = false;
   RaftConsensus::ReadResult read;
   consensus_->LinearizableRead(
       [&](const RaftConsensus::ReadResult& r) { read = r; done = true; });
-  EXPECT_FALSE(done);  // awaiting a fresh round of acks
+  EXPECT_FALSE(done);  // awaiting the barrier's commit
+  EXPECT_EQ(consensus_->last_logged().index, before + 1);
   const auto round = outbox_.Last<AppendEntriesRequest>();
+  ASSERT_EQ(round.entries.size(), 1u);
+  EXPECT_EQ(round.entries[0].id.index, before + 1);
+  EXPECT_EQ(round.entries[0].type, EntryType::kNoOp);
   AckAll("b", round.lease_sent_micros);
   ASSERT_TRUE(done);
   EXPECT_TRUE(read.status.ok());
   EXPECT_FALSE(read.served_by_lease);
+  EXPECT_EQ(read.read_index.index, before);
 
   // Once the window has provably drained, the standing grants count.
   clock_.AdvanceMicros(800'000);
@@ -937,7 +1012,7 @@ TEST_F(ConsensusUnitTest, DeposedLeaseholderRefusesReadsImmediately) {
 }
 
 TEST_F(ConsensusUnitTest, StepDownFailsPendingQuorumReads) {
-  BecomeLeader();  // leases off: every read takes the quorum round
+  BecomeLeader();  // leases off: every read takes the barrier round
   AckAll("b", 0);
   bool done = false;
   Status status;
@@ -958,32 +1033,52 @@ TEST_F(ConsensusUnitTest, StepDownFailsPendingQuorumReads) {
 }
 
 TEST_F(ConsensusUnitTest, ReadIndexIgnoresAcksSentBeforeRegistration) {
-  // The echo round only runs with leases on (off, reads use the commit
-  // barrier); a fresh leader inside the handoff window falls back to it.
+  // A fresh leader inside the lease handoff window takes the barrier
+  // fallback: only the commit of a no-op appended after registration
+  // confirms leadership.
   EnableLeases();
   BecomeLeader();
   AckAll("b", 0);
+  const OpId registered = consensus_->last_logged();
   clock_.AdvanceMicros(1'000);
   bool done = false;
   RaftConsensus::ReadResult read;
   consensus_->LinearizableRead(
       [&](const RaftConsensus::ReadResult& r) { read = r; done = true; });
   EXPECT_FALSE(done);
-  // An ack echoing a send timestamp older than the registration — a
+  // An ack covering only the log as it stood at registration — a
   // response already in flight when the read arrived — proves nothing
-  // about current leadership and must not confirm the round.
-  AckAll("b", clock_.NowMicros() - 1);
+  // about current leadership and must not complete the read, even when
+  // it echoes a fresh send timestamp.
+  AppendEntriesResponse stale;
+  stale.from = "b";
+  stale.dest = "a";
+  stale.term = consensus_->term();
+  stale.success = true;
+  stale.last_received = registered;
+  stale.last_durable_index = registered.index;
+  stale.lease_granted_micros = clock_.NowMicros();
+  consensus_->HandleMessage(Message(stale));
   EXPECT_FALSE(done);
+  // The ack that commits the barrier does.
   AckAll("b", clock_.NowMicros());
   ASSERT_TRUE(done);
   EXPECT_TRUE(read.status.ok());
   EXPECT_FALSE(read.served_by_lease);
+  EXPECT_EQ(read.read_index, registered);
   EXPECT_EQ(consensus_->stats().reads_quorum, 1u);
 }
 
-TEST_F(ConsensusUnitTest, LeasesOffReadsCompleteOnBarrierCommit) {
+/// Every read without a valid lease confirms leadership the same way,
+/// leases on (a fresh leader inside its handoff window) or off.
+class BarrierReadTest : public ConsensusUnitTest,
+                        public ::testing::WithParamInterface<bool> {};
+
+TEST_P(BarrierReadTest, ReadsCompleteOnBarrierCommit) {
+  if (GetParam()) EnableLeases();
   BecomeLeader();
   AckAll("b", 0);  // commit the leadership no-op at index 1
+  ASSERT_FALSE(consensus_->HasValidLease());
   const uint64_t before = consensus_->last_logged().index;
   bool done1 = false, done2 = false;
   RaftConsensus::ReadResult read1, read2;
@@ -995,8 +1090,8 @@ TEST_F(ConsensusUnitTest, LeasesOffReadsCompleteOnBarrierCommit) {
   EXPECT_EQ(consensus_->last_logged().index, before + 1);
   EXPECT_FALSE(done1);
   EXPECT_FALSE(done2);
-  // A pre-lease ack (no echo) commits the barrier; both reads complete
-  // at the marker captured when they registered.
+  // An ack without a lease echo commits the barrier; both reads
+  // complete at the marker captured when they registered.
   AckAll("b", 0);
   ASSERT_TRUE(done1);
   ASSERT_TRUE(done2);
@@ -1004,8 +1099,14 @@ TEST_F(ConsensusUnitTest, LeasesOffReadsCompleteOnBarrierCommit) {
   EXPECT_FALSE(read1.served_by_lease);
   EXPECT_EQ(read1.read_index.index, before);
   EXPECT_TRUE(read2.status.ok());
+  EXPECT_EQ(read2.read_index.index, before);
   EXPECT_EQ(consensus_->stats().reads_quorum, 2u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Leases, BarrierReadTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "On" : "Off";
+                         });
 
 TEST_F(ConsensusUnitTest, LeasesOffAppendsCarryNoLeaseFields) {
   // Wire compatibility (§13.6): with leases off the leader must emit the

@@ -259,6 +259,16 @@ TEST(MessagesTest, AppendEntriesConfigPayloadRoundTrip) {
   auto plain_decoded = AppendEntriesRequest::DecodeFrom(plain);
   ASSERT_TRUE(plain_decoded.ok());
   EXPECT_TRUE(plain_decoded->config_payload.empty());
+  // The committed identity trails the config group: alone, it forces
+  // every earlier group out, an empty config included.
+  req.committed_config_term = 9;
+  req.committed_config_version = 4;
+  std::string committed;
+  req.EncodeTo(&committed);
+  EXPECT_GT(committed.size(), plain.size());
+  auto committed_decoded = AppendEntriesRequest::DecodeFrom(committed);
+  ASSERT_TRUE(committed_decoded.ok()) << committed_decoded.status();
+  EXPECT_EQ(*committed_decoded, req);
 }
 
 TEST(MessagesTest, AppendResponseConfigAckRoundTrip) {
@@ -283,6 +293,20 @@ TEST(MessagesTest, AppendResponseConfigAckRoundTrip) {
   resp.EncodeTo(&plain);
   EXPECT_LT(plain.size(), buf.size());
   ASSERT_TRUE(AppendEntriesResponse::DecodeFrom(plain).ok());
+  // The pending flag trails the config ack, present only when set; any
+  // value but 1 is corruption, never a silent "committed".
+  resp.config_term = 9;
+  resp.config_version = 4;
+  resp.config_pending = true;
+  std::string pending;
+  resp.EncodeTo(&pending);
+  EXPECT_EQ(pending.size(), buf.size() + 1);
+  auto pending_decoded = AppendEntriesResponse::DecodeFrom(pending);
+  ASSERT_TRUE(pending_decoded.ok()) << pending_decoded.status();
+  EXPECT_EQ(*pending_decoded, resp);
+  pending.back() = 2;
+  EXPECT_TRUE(
+      AppendEntriesResponse::DecodeFrom(pending).status().IsCorruption());
 }
 
 TEST(MessagesTest, VoteRequestConfigIdentityRoundTrip) {
