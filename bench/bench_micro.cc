@@ -145,8 +145,9 @@ void BM_LogCachePutGet(benchmark::State& state) {
   uint64_t index = 1;
   for (auto _ : state) {
     cache.Put(LogEntry::Make({1, index}, EntryType::kTransaction, payload));
-    auto entry = cache.Get(index);
-    benchmark::DoNotOptimize(entry);
+    auto span = cache.GetCompressed(index);
+    std::string raw;
+    benchmark::DoNotOptimize(LzDecompress(*span->compressed, &raw));
     ++index;
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));

@@ -10,13 +10,25 @@
 #include "bench_util.h"
 #include "flexiraft/flexiraft.h"
 #include "sim/cluster.h"
+#include "util/compression.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace {
 
 using namespace myraft;
 using namespace myraft::bench;
 constexpr uint64_t kSecond = 1'000'000;
+
+/// Seeded bytes LZ finds no matches in, so an entry stays its size once
+/// compressed on the wire (the paper's ~500 B/entry assumption).
+std::string IncompressibleBytes(Random* rng, size_t size) {
+  static constexpr char kAlphabet[] =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  std::string out(size, '\0');
+  for (char& c : out) c = kAlphabet[rng->Uniform(64)];
+  return out;
+}
 
 struct ArmStats {
   uint64_t cross_region_bytes = 0;
@@ -45,10 +57,10 @@ ArmStats RunArm(bool proxy_enabled, uint64_t seed, int writes) {
 
   // ~500-byte transactions (paper's assumption), paced so replication
   // batches stay small and per-entry accounting is clean.
+  Random value_rng(seed);
   for (int i = 0; i < writes; ++i) {
-    std::string value(440, 'x');
-    value[i % value.size()] = 'y';
-    (void)cluster.SyncWrite("k" + std::to_string(i), value);
+    (void)cluster.SyncWrite("k" + std::to_string(i),
+                            IncompressibleBytes(&value_rng, 440));
     cluster.loop()->RunFor(5'000);
   }
   cluster.loop()->RunFor(3 * kSecond);
@@ -109,9 +121,10 @@ int main(int argc, char** argv) {
 
   // §4.2.2 back-of-envelope, reproduced on the actual wire format: the
   // per-connection resource burden of a PROXY_OP stream vs a full data
-  // stream, at ~500 bytes of data per log entry, amortised over a normal
-  // replication batch.
-  auto message_bytes = [](size_t batch, bool proxy_op) {
+  // stream (compressed spans, as the leader sends them), at ~500 bytes of
+  // data per log entry, amortised over a normal replication batch.
+  Random payload_rng(args.seed);
+  auto message_bytes = [&payload_rng](size_t batch, bool proxy_op) {
     AppendEntriesRequest request;
     request.leader = "db0";
     request.dest = "lt3a";
@@ -121,14 +134,17 @@ int main(int argc, char** argv) {
     request.proxy_payload_omitted = proxy_op;
     if (proxy_op) request.route = {"db3"};
     for (size_t i = 0; i < batch; ++i) {
-      LogEntry entry = LogEntry::Make({7, 1001 + i},
-                                      EntryType::kTransaction,
-                                      std::string(500, 'd'));
-      if (proxy_op) entry.payload.clear();
+      LogEntry entry =
+          LogEntry::Make({7, 1001 + i}, EntryType::kTransaction,
+                         IncompressibleBytes(&payload_rng, 500));
+      std::string wire;
+      if (!proxy_op) LzCompress(entry.payload, &wire);
+      entry.payload = std::move(wire);
       request.entries.push_back(std::move(entry));
     }
     return MessageWireBytes(Message(std::move(request)));
   };
+  std::string burden_json;
   for (size_t batch : {size_t{1}, size_t{8}, size_t{32}}) {
     const double burden = 100.0 *
                           static_cast<double>(message_bytes(batch, true)) /
@@ -136,10 +152,27 @@ int main(int argc, char** argv) {
     printf("per-connection PROXY_OP burden, batch of %2zu x 500 B entries: "
            "%.1f%% of vanilla (paper: 2-5%%)\n",
            batch, burden);
+    if (!burden_json.empty()) burden_json += ",";
+    burden_json += StringPrintf("\"%zu\":%.2f", batch, burden);
   }
   printf("\nShape check: each remote region has 3 members (1 db + 2 "
          "logtailers); with proxying one full copy + 2 PROXY_OPs cross "
          "the WAN, so cross-region bytes should approach ~1/3 plus "
          "control-plane overhead.\n");
-  return 0;
+
+  auto arm_json = [](const ArmStats& arm) {
+    return StringPrintf(
+        "{\"cross_region_bytes\":%llu,\"total_bytes\":%llu,"
+        "\"leader_to_remote_logtailer_bytes\":%llu}",
+        (unsigned long long)arm.cross_region_bytes,
+        (unsigned long long)arm.total_bytes,
+        (unsigned long long)arm.leader_to_remote_logtailer_bytes);
+  };
+  const std::string summary = StringPrintf(
+      "{\"writes\":%d,\"proxy_on\":%s,\"proxy_off\":%s,"
+      "\"cross_region_pct_of_vanilla\":%.2f,"
+      "\"proxy_op_burden_pct\":{%s}}",
+      writes, arm_json(with_proxy).c_str(), arm_json(without).c_str(),
+      cross_ratio, burden_json.c_str());
+  return WriteBenchJson("proxy_bandwidth", summary, "") ? 0 : 1;
 }

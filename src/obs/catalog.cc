@@ -116,10 +116,6 @@ const MetricInfo kCatalog[] = {
      "Leaders stepping down on seeing a higher term"},
     {"raft.window_rewinds", "counter", "raft",
      "Replication windows rewound after a rejection"},
-    {"raft.wire_batches_compressed", "counter", "raft",
-     "AppendEntries batches shipped compressed"},
-    {"raft.zero_copy_batches", "counter", "raft",
-     "AppendEntries batches shipped zero-copy from the cache"},
     {"server.applier_concurrency", "histogram", "server",
      "Concurrently applied transactions per applier round"},
     {"server.applier_conflict_stalls", "counter", "server",

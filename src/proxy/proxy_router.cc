@@ -128,12 +128,10 @@ void ProxyRouter::RouteRequest(AppendEntriesRequest request) {
   }
   request.route.push_back(relay);
   request.proxy_payload_omitted = true;
-  // Stripped payloads make the compression flag meaningless; the relay
-  // reconstitutes uncompressed bytes from its local log.
-  request.entries_compressed = false;
   for (LogEntry& entry : request.entries) {
-    entry.payload.clear();  // checksum retained for verification
-    entry.shared_payload.reset();  // drop borrowed zero-copy buffers too
+    // Checksum retained: the destination verifies the relay's rebuild.
+    entry.payload.clear();
+    entry.shared_payload.reset();
   }
   lower_send_(std::move(request));
 }
@@ -213,16 +211,19 @@ bool ProxyRouter::HandleInbound(const Message& message) {
 
 Result<LogEntry> ProxyRouter::LookupEntry(const LogEntry& proxy_entry) const {
   if (consensus_ == nullptr) return Status::IllegalState("unbound router");
-  auto cached = consensus_->log_cache().Get(proxy_entry.id.index);
-  Result<LogEntry> entry =
-      cached.ok() ? std::move(cached)
-                  : consensus_->log()->Read(proxy_entry.id.index);
-  if (!entry.ok()) return entry.status();
-  if (entry->id != proxy_entry.id ||
-      entry->checksum != proxy_entry.checksum) {
+  // Rebuilt in the wire form the leader would have sent: our cache's
+  // compressed span, or a log read compressed here on a cache miss. The
+  // destination inflates and verifies the checksum.
+  auto span = consensus_->log_cache().GetCompressed(proxy_entry.id.index);
+  if (!span.has_value()) {
+    auto entry = consensus_->log()->Read(proxy_entry.id.index);
+    if (!entry.ok()) return entry.status();
+    span = raft::LogCache::Compress(*entry);
+  }
+  if (span->id != proxy_entry.id || span->checksum != proxy_entry.checksum) {
     return Status::NotFound("local entry does not match PROXY_OP stamp");
   }
-  return entry;
+  return span->ToWire();
 }
 
 void ProxyRouter::ReconstituteAndForward(AppendEntriesRequest request,

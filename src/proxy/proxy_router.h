@@ -6,10 +6,10 @@
 //  * outbound from the leader, messages to a remote-region member are
 //    addressed through a relay in that region, with payloads stripped
 //    (PROXY_OP: "request metadata but no payload");
-//  * the final relay hop reconstitutes each entry from its own log-entry
-//    cache (falling back to its log); if an entry has not arrived yet it
-//    waits a configurable period, then degrades the message to a simple
-//    heartbeat;
+//  * the final relay hop reconstitutes each entry's compressed span from
+//    its own log-entry cache (compressing a read of its log on a cache
+//    miss); if an entry has not arrived yet it waits a configurable
+//    period, then degrades the message to a simple heartbeat;
 //  * responses are relayed back upstream through the same tree;
 //  * votes are never proxied (§4.2.1);
 //  * unhealthy relays are detected via recent-traffic health checks and

@@ -13,6 +13,14 @@ namespace {
 /// aggregated mock-election outcome back to the initiating leader.
 constexpr char kMockOutcomeReason[] = "mock-outcome";
 
+/// Catch-up read-ahead: on a cache-miss fallback read, prefetch up to this
+/// many RPC-sized batches from the historical log; the surplus lands in
+/// the cache's read-ahead buffer.
+constexpr uint64_t kCatchupReadaheadBatches = 4;
+
+/// Upper clamp of the adaptive in-flight window, in batches.
+constexpr size_t kAdaptiveWindowCapBatches = 64;
+
 /// Ends a span on scope exit (covers every early-return path of a
 /// handler). No-op while id stays 0.
 struct SpanGuard {
@@ -60,9 +68,6 @@ RaftConsensus::RaftConsensus(RaftOptions options, LogAbstraction* log,
   m_.stale_responses_ignored =
       metrics_->GetCounter("raft.stale_responses_ignored");
   m_.window_rewinds = metrics_->GetCounter("raft.window_rewinds");
-  m_.wire_batches_compressed =
-      metrics_->GetCounter("raft.wire_batches_compressed");
-  m_.zero_copy_batches = metrics_->GetCounter("raft.zero_copy_batches");
   m_.group_syncs = metrics_->GetCounter("raft.group_syncs");
   m_.group_sync_coalesced =
       metrics_->GetCounter("raft.group_sync_coalesced");
@@ -97,8 +102,6 @@ RaftConsensus::Stats RaftConsensus::stats() const {
   s.pipeline_stalls = m_.pipeline_stalls->value();
   s.stale_responses_ignored = m_.stale_responses_ignored->value();
   s.window_rewinds = m_.window_rewinds->value();
-  s.wire_batches_compressed = m_.wire_batches_compressed->value();
-  s.zero_copy_batches = m_.zero_copy_batches->value();
   s.group_syncs = m_.group_syncs->value();
   s.group_sync_coalesced = m_.group_sync_coalesced->value();
   s.marker_only_heartbeats = m_.marker_only_heartbeats->value();
@@ -400,35 +403,27 @@ Status RaftConsensus::AppendToLocalLog(const LogEntry& entry) {
 }
 
 Result<std::vector<LogEntry>> RaftConsensus::FetchEntriesFor(
-    uint64_t next_index, uint64_t* prev_term) {
+    uint64_t next_index, uint64_t* prev_term, uint64_t* raw_bytes) {
   // Preceding entry's term for the log-matching check.
-  if (next_index == 1) {
-    *prev_term = 0;
-  } else {
-    auto prev = log_->OpIdAt(next_index - 1);
-    if (prev.ok()) {
-      *prev_term = prev->term;
-    } else {
-      auto cached = cache_.Get(next_index - 1);
-      if (!cached.ok()) {
-        return Status::NotFound(
-            "previous entry unavailable (member needs re-provisioning)");
-      }
-      *prev_term = cached->id.term;
-    }
+  if (!LookupTermAt(next_index - 1, prev_term)) {
+    return Status::NotFound(
+        "previous entry unavailable (member needs re-provisioning)");
   }
 
   std::vector<LogEntry> entries;
-  uint64_t bytes = 0;
+  uint64_t bytes = 0;  // uncompressed: what the RPC budget counts
   uint64_t index = next_index;
+  auto add = [&](const LogCache::CompressedEntry& span) {
+    bytes += span.uncompressed_size;
+    entries.push_back(span.ToWire());
+    ++index;
+  };
   const uint64_t last = log_->LastOpId().index;
   while (index <= last && entries.size() < options_.max_entries_per_rpc &&
          bytes < options_.max_bytes_per_rpc) {
-    auto cached = cache_.Get(index);
-    if (cached.ok()) {
-      bytes += cached->payload.size();
-      entries.push_back(std::move(*cached));
-      ++index;
+    auto cached = cache_.GetCompressed(index);
+    if (cached.has_value()) {
+      add(*cached);
       continue;
     }
     // Cache miss: the follower lags behind the in-memory cache; read the
@@ -440,25 +435,20 @@ Result<std::vector<LogEntry>> RaftConsensus::FetchEntriesFor(
     const uint64_t want_entries =
         options_.max_entries_per_rpc - entries.size();
     const uint64_t want_bytes = options_.max_bytes_per_rpc - bytes;
-    const uint64_t readahead =
-        options_.catchup_readahead_batches > 0
-            ? options_.catchup_readahead_batches
-            : 1;
-    auto batch =
-        log_->ReadBatch(index, want_entries * readahead, want_bytes * readahead);
+    auto batch = log_->ReadBatch(index, want_entries * kCatchupReadaheadBatches,
+                                 want_bytes * kCatchupReadaheadBatches);
     if (!batch.ok()) return batch.status();
-    for (auto& e : *batch) {
+    for (const auto& e : *batch) {
       if (entries.size() < options_.max_entries_per_rpc &&
           bytes < options_.max_bytes_per_rpc && e.id.index == index) {
-        bytes += e.payload.size();
-        entries.push_back(std::move(e));
-        ++index;
+        add(LogCache::Compress(e));
       } else {
         cache_.PutReadahead(e);  // surplus: serve the next batch from memory
       }
     }
     break;  // ReadBatch returned everything it could within budget
   }
+  *raw_bytes = bytes;
   return entries;
 }
 
@@ -551,8 +541,7 @@ size_t RaftConsensus::EffectiveWindow(const PeerStatus& peer) const {
   const double bdp_bytes =
       peer.delivery_rate_bps * static_cast<double>(peer.srtt_micros) / 1e6;
   const double batches = 2.0 * bdp_bytes / peer.avg_batch_bytes;
-  const size_t cap =
-      std::max(options_.adaptive_window_cap_batches, floor_batches);
+  const size_t cap = std::max(kAdaptiveWindowCapBatches, floor_batches);
   if (batches <= static_cast<double>(floor_batches)) return floor_batches;
   if (batches >= static_cast<double>(cap)) return cap;
   return static_cast<size_t>(batches);
@@ -610,62 +599,6 @@ bool RaftConsensus::LookupTermAt(uint64_t index, uint64_t* term) const {
   return false;
 }
 
-void RaftConsensus::MaybeCompressPayloads(AppendEntriesRequest* request) {
-  if (options_.wire_compression_min_bytes == 0) return;
-  uint64_t raw = 0;
-  for (const auto& e : request->entries) raw += e.payload.size();
-  if (raw < options_.wire_compression_min_bytes) return;
-  std::vector<std::string> compressed(request->entries.size());
-  uint64_t packed = 0;
-  for (size_t i = 0; i < request->entries.size(); ++i) {
-    LzCompress(request->entries[i].payload, &compressed[i]);
-    packed += compressed[i].size();
-  }
-  if (packed >= raw) return;  // incompressible payloads: send as-is
-  for (size_t i = 0; i < request->entries.size(); ++i) {
-    request->entries[i].payload = std::move(compressed[i]);
-  }
-  request->entries_compressed = true;
-  m_.wire_batches_compressed->Increment();
-}
-
-bool RaftConsensus::TryFetchCompressed(uint64_t next_index,
-                                       AppendEntriesRequest* request,
-                                       uint64_t* raw_bytes) {
-  if (options_.wire_compression_min_bytes == 0) return false;
-  const uint64_t last = log_->LastOpId().index;
-  uint64_t raw = 0;
-  uint64_t packed = 0;
-  std::vector<LogEntry> entries;
-  uint64_t index = next_index;
-  while (index <= last && entries.size() < options_.max_entries_per_rpc &&
-         raw < options_.max_bytes_per_rpc) {
-    auto cached = cache_.GetCompressed(index);
-    if (!cached.has_value()) return false;  // not fully cached: fall back
-    LogEntry entry;
-    entry.id = cached->id;
-    entry.type = cached->type;
-    entry.checksum = cached->checksum;
-    entry.shared_payload = std::move(cached->compressed);
-    raw += cached->uncompressed_size;
-    packed += entry.shared_payload->size();
-    entries.push_back(std::move(entry));
-    ++index;
-  }
-  if (entries.empty()) return false;
-  // Same profitability rule as MaybeCompressPayloads, decided from the
-  // cached sizes alone — no inflate, no recompress, no byte copies.
-  if (raw < options_.wire_compression_min_bytes || packed >= raw) {
-    return false;
-  }
-  request->entries = std::move(entries);
-  request->entries_compressed = true;
-  *raw_bytes = raw;
-  m_.wire_batches_compressed->Increment();
-  m_.zero_copy_batches->Increment();
-  return true;
-}
-
 void RaftConsensus::SendMarkerOnlyHeartbeat(const MemberId& peer_id,
                                             PeerStatus* peer) {
   // Anchor prev at the peer's acked match point so the log-matching check
@@ -714,26 +647,18 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
       break;
     }
 
-    AppendEntriesRequest request;
-    uint64_t batch_raw_bytes = 0;
     uint64_t prev_term = 0;
-    // Zero-copy fast path: ship the cache's compressed spans as-is.
-    bool zero_copy = LookupTermAt(peer.next_index - 1, &prev_term) &&
-                     TryFetchCompressed(peer.next_index, &request,
-                                        &batch_raw_bytes);
-    if (!zero_copy) {
-      auto entries = FetchEntriesFor(peer.next_index, &prev_term);
-      if (!entries.ok()) {
-        MYRAFT_LOG(Warning) << options_.self << ": cannot serve entries to "
-                            << peer_id << ": " << entries.status();
-        return;
-      }
-      if (entries->empty()) break;  // nothing fetchable despite next<=last
-      request.entries = std::move(*entries);
-      for (const auto& e : request.entries) {
-        batch_raw_bytes += e.payload.size();
-      }
+    uint64_t batch_raw_bytes = 0;
+    auto entries =
+        FetchEntriesFor(peer.next_index, &prev_term, &batch_raw_bytes);
+    if (!entries.ok()) {
+      MYRAFT_LOG(Warning) << options_.self << ": cannot serve entries to "
+                          << peer_id << ": " << entries.status();
+      return;
     }
+    if (entries->empty()) break;  // nothing fetchable despite next<=last
+    AppendEntriesRequest request;
+    request.entries = std::move(*entries);
     request.leader = options_.self;
     request.dest = peer_id;
     request.term = meta_.current_term;
@@ -752,7 +677,6 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     batch.bytes = batch_raw_bytes;
     batch.acked_bytes_at_send = peer.total_acked_bytes;
     m_.entries_replicated->Increment(request.entries.size());
-    if (!zero_copy) MaybeCompressPayloads(&request);
     const double sized =
         std::max<double>(1.0, static_cast<double>(batch_raw_bytes));
     peer.avg_batch_bytes = peer.avg_batch_bytes <= 0.0
@@ -806,7 +730,8 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
   // Caught up and idle: plain heartbeat, not tracked in the window (a lost
   // heartbeat is simply replaced at the next interval).
   uint64_t prev_term = 0;
-  auto entries = FetchEntriesFor(peer.next_index, &prev_term);
+  uint64_t raw_bytes = 0;
+  auto entries = FetchEntriesFor(peer.next_index, &prev_term, &raw_bytes);
   if (!entries.ok()) {
     MYRAFT_LOG(Warning) << options_.self << ": cannot serve entries to "
                         << peer_id << ": " << entries.status();
@@ -1048,38 +973,6 @@ void RaftConsensus::FailPendingReads(const Status& reason) {
 // --- Replication: receiver side -------------------------------------------------
 
 void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
-  if (request.entries_compressed) {
-    // Inflate on the receiver's copy; checksums cover the uncompressed
-    // payload, so VerifyChecksum below runs against the restored bytes.
-    AppendEntriesRequest inflated = request;
-    inflated.entries_compressed = false;
-    for (auto& entry : inflated.entries) {
-      std::string raw;
-      Status decomp = LzDecompress(entry.payload_bytes(), &raw);
-      if (!decomp.ok()) {
-        MYRAFT_LOG(Error) << options_.self
-                          << ": undecompressable batch from "
-                          << request.leader << ": " << decomp;
-        AppendEntriesResponse response;
-        response.from = options_.self;
-        response.dest = request.leader;
-        response.term = meta_.current_term;
-        response.success = false;
-        response.last_received = log_->LastOpId();
-        response.last_durable_index = last_synced_index_;
-        response.request_prev_index = request.prev.index;
-        response.trace_id = request.trace_id;
-        response.trace_span_id = request.trace_span_id;
-        outbox_->Send(std::move(response));
-        return;
-      }
-      entry.payload = std::move(raw);
-      entry.shared_payload.reset();  // owned again after inflation
-    }
-    HandleAppendEntries(inflated);
-    return;
-  }
-
   AppendEntriesResponse response;
   response.from = options_.self;
   response.dest = request.leader;
@@ -1176,14 +1069,22 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
       last_synced_index_ = std::min(last_synced_index_, entry.id.index - 1);
       listener_->OnSuffixTruncated(log_->LastOpId());
     }
-    if (!entry.VerifyChecksum()) {
+    // The payload arrives as a compressed span; the checksum covers the
+    // uncompressed bytes. A span that fails to inflate is refused like a
+    // checksum failure.
+    LogEntry inflated;
+    inflated.id = entry.id;
+    inflated.type = entry.type;
+    inflated.checksum = entry.checksum;
+    if (!LzDecompress(entry.payload_bytes(), &inflated.payload).ok() ||
+        !inflated.VerifyChecksum()) {
       MYRAFT_LOG(Error) << options_.self
                         << ": corrupt entry from leader at "
                         << entry.id.ToString();
       outbox_->Send(std::move(response));
       return;
     }
-    Status s = AppendToLocalLog(entry);
+    Status s = AppendToLocalLog(inflated);
     if (!s.ok()) {
       MYRAFT_LOG(Error) << options_.self << ": append failed: " << s;
       append_failed = true;

@@ -66,23 +66,13 @@ struct RaftOptions {
   size_t max_inflight_batches = 4;
   /// BDP-style adaptive in-flight window: per peer, the window is sized
   /// from measured delivery rate × smoothed RTT (÷ average batch size),
-  /// clamped to [max_inflight_batches, adaptive_window_cap_batches] and
-  /// always bounded by max_inflight_bytes_per_peer. Until the first RTT
-  /// sample the static floor applies.
+  /// clamped to [max_inflight_batches, 64] and always bounded by
+  /// max_inflight_bytes_per_peer. Until the first RTT sample the static
+  /// floor applies.
   bool adaptive_inflight_window = true;
-  size_t adaptive_window_cap_batches = 64;
-  /// Byte budget across one peer's in-flight window (payload bytes).
+  /// Byte budget across one peer's in-flight window (uncompressed payload
+  /// bytes).
   uint64_t max_inflight_bytes_per_peer = 4ull << 20;
-  /// Compress entry payloads on the wire when a batch carries at least
-  /// this many payload bytes (0 disables). Lossless; the entry checksum
-  /// always covers the uncompressed payload, so corruption is still
-  /// caught after inflation on the receiver.
-  uint64_t wire_compression_min_bytes = 1024;
-
-  /// Catch-up read-ahead: on a cache-miss fallback read, prefetch up to
-  /// this many extra RPC-sized batches from the historical log into the
-  /// cache's read-ahead buffer (0 disables).
-  size_t catchup_readahead_batches = 4;
 
   bool enable_pre_vote = true;
   /// §4.3: run a mock election before TransferLeadership.
@@ -293,8 +283,6 @@ class RaftConsensus {
     uint64_t pipeline_stalls = 0;
     uint64_t stale_responses_ignored = 0;
     uint64_t window_rewinds = 0;
-    uint64_t wire_batches_compressed = 0;
-    uint64_t zero_copy_batches = 0;
     uint64_t group_syncs = 0;
     uint64_t group_sync_coalesced = 0;
     uint64_t marker_only_heartbeats = 0;
@@ -567,19 +555,10 @@ class RaftConsensus {
   /// Empty AppendEntries anchored at the peer's match point, carrying only
   /// the advanced commit marker past a full window.
   void SendMarkerOnlyHeartbeat(const MemberId& peer_id, PeerStatus* peer);
-  /// Zero-copy send: assemble a batch directly from the cache's
-  /// already-compressed spans (borrowed buffers, no inflate/re-encode).
-  /// False when the batch isn't fully cached or compression isn't
-  /// profitable — the caller falls back to FetchEntriesFor.
-  bool TryFetchCompressed(uint64_t next_index, AppendEntriesRequest* request,
-                          uint64_t* raw_bytes);
   /// Drops the peer's in-flight window and rewinds next_index to the
   /// first unacked entry (RPC loss / rejection recovery). Closes any open
   /// batch spans as cancelled.
   void CancelInflight(PeerStatus* peer);
-  /// Compresses the request's entry payloads when the batch is large
-  /// enough to be worth it (and it actually shrinks).
-  void MaybeCompressPayloads(AppendEntriesRequest* request);
   void AdvanceCommitMarker();
   void SetCommitMarker(OpId new_marker);
   /// Lease plumbing (§13).
@@ -602,8 +581,13 @@ class RaftConsensus {
   /// barrier to commit before it fails with TimedOut.
   uint64_t ReadDeadlineMicros() const;
   Status AppendToLocalLog(const LogEntry& entry);
+  /// The next batch for a peer, in the wire form: each entry carries the
+  /// cache's compressed span (a binlog read on a cache miss is compressed
+  /// here). Sets the prev entry's term and the batch's uncompressed
+  /// payload bytes, which the RPC and window budgets count.
   Result<std::vector<LogEntry>> FetchEntriesFor(uint64_t next_index,
-                                                uint64_t* prev_term);
+                                                uint64_t* prev_term,
+                                                uint64_t* raw_bytes);
 
   // Election plumbing.
   Status BeginElection(ElectionMode mode, const MemberId& report_to,
@@ -665,9 +649,6 @@ class RaftConsensus {
     metrics::Counter* stale_responses_ignored;
     /// Rejections/timeouts that cancelled an in-flight suffix.
     metrics::Counter* window_rewinds;
-    metrics::Counter* wire_batches_compressed;
-    /// Batches shipped straight from the cache's compressed spans.
-    metrics::Counter* zero_copy_batches;
     /// Coalescing syncs actually issued / extra Replicate() calls that
     /// piggybacked on an already-scheduled one.
     metrics::Counter* group_syncs;

@@ -27,14 +27,23 @@ LogCache::LogCache(uint64_t capacity_bytes,
   uncompressed_bytes_->Set(0);
 }
 
-void LogCache::Retire(const Cached& cached) {
-  size_bytes_ -= cached.compressed_payload->size();
-  compressed_bytes_->Add(-(int64_t)cached.compressed_payload->size());
+void LogCache::Retire(const CompressedEntry& cached) {
+  size_bytes_ -= cached.compressed->size();
+  compressed_bytes_->Add(-(int64_t)cached.compressed->size());
   uncompressed_bytes_->Add(-(int64_t)cached.uncompressed_size);
 }
 
-LogCache::Cached LogCache::Compress(const LogEntry& entry) {
-  Cached cached;
+LogEntry LogCache::CompressedEntry::ToWire() const {
+  LogEntry entry;
+  entry.id = id;
+  entry.type = type;
+  entry.checksum = checksum;
+  entry.shared_payload = compressed;
+  return entry;
+}
+
+LogCache::CompressedEntry LogCache::Compress(const LogEntry& entry) {
+  CompressedEntry cached;
   cached.id = entry.id;
   cached.type = entry.type;
   cached.checksum = entry.checksum;
@@ -42,12 +51,12 @@ LogCache::Cached LogCache::Compress(const LogEntry& entry) {
   cached.uncompressed_size = payload.size();
   auto compressed = std::make_shared<std::string>();
   LzCompress(payload, compressed.get());
-  cached.compressed_payload = std::move(compressed);
+  cached.compressed = std::move(compressed);
   return cached;
 }
 
 void LogCache::Put(const LogEntry& entry) {
-  Cached cached = Compress(entry);
+  CompressedEntry cached = Compress(entry);
 
   // Retire a replaced entry before accounting the new one, so overwrites
   // (leader re-proposals, truncate-then-refill) don't inflate the byte
@@ -55,8 +64,8 @@ void LogCache::Put(const LogEntry& entry) {
   auto it = entries_.find(entry.id.index);
   if (it != entries_.end()) Retire(it->second);
 
-  size_bytes_ += cached.compressed_payload->size();
-  compressed_bytes_->Add((int64_t)cached.compressed_payload->size());
+  size_bytes_ += cached.compressed->size();
+  compressed_bytes_->Add((int64_t)cached.compressed->size());
   uncompressed_bytes_->Add((int64_t)cached.uncompressed_size);
   entries_[entry.id.index] = std::move(cached);
 
@@ -68,70 +77,43 @@ void LogCache::Put(const LogEntry& entry) {
   }
 }
 
-Result<LogEntry> LogCache::Inflate(const Cached& cached) {
-  LogEntry entry;
-  entry.id = cached.id;
-  entry.type = cached.type;
-  entry.checksum = cached.checksum;
-  MYRAFT_RETURN_NOT_OK(
-      LzDecompress(*cached.compressed_payload, &entry.payload));
-  if (!entry.VerifyChecksum()) {
-    return Status::Corruption("log cache entry failed checksum");
-  }
-  return entry;
-}
-
 void LogCache::PutReadahead(const LogEntry& entry) {
   if (entries_.count(entry.id.index) > 0 ||
       readahead_.count(entry.id.index) > 0) {
     return;
   }
-  Cached cached = Compress(entry);
+  CompressedEntry cached = Compress(entry);
   // Bounded to a quarter of the main capacity; read-ahead is filled and
   // consumed in ascending order, so once the budget is full the earliest
   // prefix is the useful part — just drop the surplus.
-  if (readahead_bytes_ + cached.compressed_payload->size() > capacity_ / 4) {
+  if (readahead_bytes_ + cached.compressed->size() > capacity_ / 4) {
     return;
   }
-  readahead_bytes_ += cached.compressed_payload->size();
+  readahead_bytes_ += cached.compressed->size();
   readahead_[entry.id.index] = std::move(cached);
-}
-
-Result<LogEntry> LogCache::Get(uint64_t index) const {
-  auto it = entries_.find(index);
-  if (it != entries_.end()) {
-    hits_->Increment();
-    return Inflate(it->second);
-  }
-  auto ra = readahead_.find(index);
-  if (ra != readahead_.end()) {
-    readahead_hits_->Increment();
-    auto entry = Inflate(ra->second);
-    // Sequential catch-up consumption: everything below this index has
-    // already been served, reclaim its budget.
-    for (auto trim = readahead_.begin(); trim != ra;) {
-      readahead_bytes_ -= trim->second.compressed_payload->size();
-      trim = readahead_.erase(trim);
-    }
-    return entry;
-  }
-  misses_->Increment();
-  if (!readahead_.empty()) readahead_misses_->Increment();
-  return Status::NotFound("log cache miss");
 }
 
 std::optional<LogCache::CompressedEntry> LogCache::GetCompressed(
     uint64_t index) const {
   auto it = entries_.find(index);
-  if (it == entries_.end()) return std::nullopt;
-  hits_->Increment();
-  CompressedEntry out;
-  out.id = it->second.id;
-  out.type = it->second.type;
-  out.checksum = it->second.checksum;
-  out.uncompressed_size = it->second.uncompressed_size;
-  out.compressed = it->second.compressed_payload;
-  return out;
+  if (it != entries_.end()) {
+    hits_->Increment();
+    return it->second;
+  }
+  auto ra = readahead_.find(index);
+  if (ra != readahead_.end()) {
+    readahead_hits_->Increment();
+    // Sequential catch-up consumption: everything below this index has
+    // already been served, reclaim its budget.
+    for (auto trim = readahead_.begin(); trim != ra;) {
+      readahead_bytes_ -= trim->second.compressed->size();
+      trim = readahead_.erase(trim);
+    }
+    return ra->second;
+  }
+  misses_->Increment();
+  if (!readahead_.empty()) readahead_misses_->Increment();
+  return std::nullopt;
 }
 
 void LogCache::TruncateAfter(uint64_t index) {
@@ -140,7 +122,7 @@ void LogCache::TruncateAfter(uint64_t index) {
     it = entries_.erase(it);
   }
   for (auto it = readahead_.upper_bound(index); it != readahead_.end();) {
-    readahead_bytes_ -= it->second.compressed_payload->size();
+    readahead_bytes_ -= it->second.compressed->size();
     it = readahead_.erase(it);
   }
 }

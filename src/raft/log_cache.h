@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "util/metrics.h"
-#include "util/result.h"
 #include "wire/log_entry.h"
 
 namespace myraft::raft {
@@ -45,22 +44,28 @@ class LogCache {
   /// historical catch-up entries would immediately thrash the hot tail.
   void PutReadahead(const LogEntry& entry);
 
-  /// Returns the decompressed entry or NotFound on a cache miss (the
-  /// read-ahead buffer is consulted after the main map). Fails with
-  /// Corruption if the cached bytes fail checksum on the way out.
-  Result<LogEntry> Get(uint64_t index) const;
-
-  /// Zero-copy send path: the entry's already-compressed span, without
-  /// inflating. The shared buffer stays valid across eviction/truncation
-  /// for as long as the caller holds it. Main map only (read-ahead
-  /// catch-up traffic keeps using Get's inflate path). nullopt on miss.
+  /// An entry as the cache holds it and as AppendEntries carries it: the
+  /// LzCompress'd payload span plus the metadata that travels beside it.
+  /// The shared buffer stays valid across eviction/truncation for as long
+  /// as a holder (an in-flight batch) keeps it.
   struct CompressedEntry {
     OpId id;
     EntryType type = EntryType::kNoOp;
     uint32_t checksum = 0;          // covers the uncompressed payload
     uint64_t uncompressed_size = 0;
     std::shared_ptr<const std::string> compressed;
+
+    /// The wire form: the span borrowed as the entry's payload.
+    LogEntry ToWire() const;
   };
+
+  /// Compresses an entry that is not cached (a binlog read) into the same
+  /// form, for one batch or one relayed PROXY_OP.
+  static CompressedEntry Compress(const LogEntry& entry);
+
+  /// The entry's compressed span, from the main map first, then the
+  /// read-ahead buffer (a read-ahead hit trims the prefix below it:
+  /// catch-up consumption is sequential). nullopt on a miss.
   std::optional<CompressedEntry> GetCompressed(uint64_t index) const;
 
   bool Contains(uint64_t index) const {
@@ -78,27 +83,15 @@ class LogCache {
   Stats stats() const;
 
  private:
-  struct Cached {
-    OpId id;
-    EntryType type = EntryType::kNoOp;
-    uint32_t checksum = 0;
-    uint64_t uncompressed_size = 0;
-    /// Shared so the zero-copy send path can borrow the bytes; in-flight
-    /// batches keep them alive after the cache drops this slot.
-    std::shared_ptr<const std::string> compressed_payload;
-  };
-
-  static Cached Compress(const LogEntry& entry);
-
-  void Retire(const Cached& cached);
-  static Result<LogEntry> Inflate(const Cached& cached);
+  void Retire(const CompressedEntry& cached);
 
   uint64_t capacity_;
   uint64_t size_bytes_ = 0;
-  std::map<uint64_t, Cached> entries_;
+  std::map<uint64_t, CompressedEntry> entries_;
   // Catch-up read-ahead side buffer, bounded to a fraction of capacity.
-  // Mutable: sequential consumption self-trims stale prefix on Get().
-  mutable std::map<uint64_t, Cached> readahead_;
+  // Mutable: sequential consumption self-trims stale prefix on
+  // GetCompressed().
+  mutable std::map<uint64_t, CompressedEntry> readahead_;
   mutable uint64_t readahead_bytes_ = 0;
 
   std::unique_ptr<metrics::MetricRegistry> owned_registry_;

@@ -40,11 +40,11 @@ struct QuorumFixerReport {
   MemberId chosen;          // member promoted by the override
   OpId chosen_last_log;
   bool quorum_was_shattered = false;
-  /// Logless rings only: step 5 rebuilt the membership by demoting every
-  /// dead voter in ONE forced config bump (see RunQuorumFixer), and how
-  /// many voters that demoted. Always false on the legacy log path —
-  /// there a config change is itself a log entry, which can never commit
-  /// while the data quorum is dead.
+  /// Step 5 rebuilt the membership by demoting every dead voter in ONE
+  /// forced config bump (see RunQuorumFixer), and how many voters that
+  /// demoted. False when no voter was dead. The bump can commit while the
+  /// data quorum is dead because a config commits on its install quorum,
+  /// not through the log.
   bool forced_reconfig = false;
   int voters_excised = 0;
 };

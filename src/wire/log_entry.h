@@ -33,9 +33,9 @@ struct LogEntry {
   EntryType type = EntryType::kNoOp;
   std::string payload;
   /// Zero-copy send path: when set, the payload bytes live in this shared
-  /// buffer (borrowed from the leader's LogCache, which keeps it alive
-  /// across eviction/truncation while the batch is in flight) and
-  /// `payload` stays empty. Only compressed wire batches use this form;
+  /// buffer (a compressed span borrowed from the sender's LogCache, kept
+  /// alive across eviction/truncation while the batch is in flight) and
+  /// `payload` stays empty. Only raft AppendEntries use this form;
   /// everything decoded from disk or the wire owns its payload.
   std::shared_ptr<const std::string> shared_payload;
   /// CRC32C of payload, stamped at commit time on the primary (§3.4) and

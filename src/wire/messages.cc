@@ -60,7 +60,6 @@ void AppendEntriesRequest::EncodeTo(std::string* dst) const {
   PutOpId(dst, commit_marker);
   uint8_t flags = 0;
   if (proxy_payload_omitted) flags |= 0x1;
-  if (entries_compressed) flags |= 0x2;
   dst->push_back(static_cast<char>(flags));
   PutVarint64(dst, entries.size());
   for (const auto& e : entries) e.EncodeTo(dst);
@@ -97,8 +96,10 @@ Result<AppendEntriesRequest> AppendEntriesRequest::DecodeFrom(Slice in) {
     return Truncated("append-entries header");
   }
   if (in.empty()) return Truncated("append-entries flags");
+  if ((in[0] & ~0x1) != 0) {
+    return Status::Corruption("wire: unknown append-entries flags");
+  }
   req.proxy_payload_omitted = (in[0] & 0x1) != 0;
-  req.entries_compressed = (in[0] & 0x2) != 0;
   in.RemovePrefix(1);
   uint64_t n;
   if (!GetVarint64(&in, &n)) return Truncated("append-entries count");

@@ -36,13 +36,14 @@ struct AppendEntriesRequest {
   uint64_t term = 0;
   OpId prev;                 // entry immediately preceding entries[0]
   OpId commit_marker;        // leader's consensus-commit watermark
+  /// Raft replication ships each payload as the leader's LogCache span
+  /// (LzCompress'd, §3.4); semisync's stream carries raw payloads.
+  /// Checksums cover the uncompressed bytes, so a raft follower inflates
+  /// before verifying.
   std::vector<LogEntry> entries;
   /// §4.2: PROXY_OP — entries carry OpId/type/checksum but no payload; the
   /// final relay hop reconstitutes payloads from its own log.
   bool proxy_payload_omitted = false;
-  /// Entry payloads are LzCompress'd on the wire; checksums always cover
-  /// the uncompressed bytes, so receivers inflate before verifying.
-  bool entries_compressed = false;
   /// Causal trace context (util/trace): id of the client trace this batch
   /// belongs to and the leader-side batch span to parent follower spans
   /// under. Encoded as optional trailing varints — absent on the wire when

@@ -8,6 +8,7 @@
 #include "raft_test_harness.h"
 #include "sim/cluster.h"
 #include "wire/log_entry.h"
+#include "wire_entries.h"
 
 namespace myraft::sim {
 namespace {
@@ -380,7 +381,7 @@ AppendEntriesRequest Append(const MemberId& leader, const MemberId& dest,
   request.term = term;
   request.prev = prev;
   request.commit_marker = kZeroOpId;  // nothing committed: all divergent
-  request.entries = std::move(entries);
+  request.entries = WireForm(std::move(entries));
   if (config != nullptr) {
     EncodeMembershipConfig(*config, &request.config_payload);
   }

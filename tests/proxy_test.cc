@@ -8,6 +8,8 @@
 
 #include "flexiraft/flexiraft.h"
 #include "raft_test_harness.h"
+#include "util/random.h"
+#include "wire_entries.h"
 
 namespace myraft::proxy {
 namespace {
@@ -202,10 +204,14 @@ TEST(ProxyClusterTest, ProxySavesCrossRegionBytes) {
     cluster->loop()->RunFor(kSecond);
     cluster->network()->ResetStats();
 
+    // Seeded bytes LZ cannot shrink: entries stay ~500 B on the wire,
+    // where leaders and relays ship them compressed.
+    Random payload_rng(77);
     OpId last;
     for (int i = 0; i < 50; ++i) {
-      auto opid = leader->Replicate(
-          EntryType::kNoOp, std::string(500, static_cast<char>('a' + i % 26)));
+      std::string payload(500, '\0');
+      for (char& c : payload) c = static_cast<char>(payload_rng.Uniform(256));
+      auto opid = leader->Replicate(EntryType::kNoOp, std::move(payload));
       ASSERT_TRUE(opid.ok());
       last = *opid;
       cluster->loop()->RunFor(20'000);
@@ -474,11 +480,129 @@ TEST(ProxyRouterTest, MissingEntryWaitsThenDegradesToHeartbeat) {
   {
     const auto& out = std::get<AppendEntriesRequest>(sent[0]);
     ASSERT_EQ(out.entries.size(), 1u);
-    EXPECT_EQ(out.entries[0], real);
+    // Rebuilt in the wire form: the compressed span of the real entry.
+    EXPECT_EQ(out.entries[0].id, real.id);
+    EXPECT_EQ(out.entries[0].type, real.type);
+    EXPECT_EQ(out.entries[0].checksum, real.checksum);
+    EXPECT_EQ(Inflated(out.entries[0]), real.payload);
     EXPECT_FALSE(out.proxy_payload_omitted);
   }
   EXPECT_EQ(router.stats().reconstitutions, 1u);
   EXPECT_EQ(router.stats().degraded_to_heartbeat, 1u);  // unchanged
+}
+
+/// One member of the relay-rebuild test below: a consensus over its own
+/// MemLog, bootstrapped into the shared three-member config.
+struct StandaloneMember {
+  StandaloneMember(const MemberId& self, const RegionId& region,
+                   sim::EventLoop* loop)
+      : env(NewMemEnv()), meta(env.get(), "/m") {
+    raft::RaftOptions options;
+    options.self = self;
+    options.region = region;
+    consensus = std::make_unique<raft::RaftConsensus>(
+        options, &log, &quorum, &meta, loop->clock(), &rng, &outbox,
+        &listener);
+    MembershipConfig config;
+    config.members = {
+        {"leader", "r0", MemberKind::kMySql, RaftMemberType::kVoter},
+        {"relay", "r1", MemberKind::kMySql, RaftMemberType::kVoter},
+        {"lt1a", "r1", MemberKind::kLogtailer, RaftMemberType::kVoter},
+    };
+    MYRAFT_CHECK(consensus->Bootstrap(config).ok());
+  }
+
+  struct NullOutbox : raft::RaftOutbox {
+    void Send(Message) override {}
+  };
+  std::unique_ptr<Env> env;
+  raft::ConsensusMetadataStore meta;
+  raft::MemLog log;
+  raft::MajorityQuorumEngine quorum;
+  Random rng{3};
+  NullOutbox outbox;
+  raft::StateMachineListener listener;
+  std::unique_ptr<raft::RaftConsensus> consensus;
+};
+
+TEST(ProxyRouterTest, RelayRebuildsFromCacheSpanAndFromLogOnMiss) {
+  sim::EventLoop loop(1);
+  StandaloneMember relay("relay", "r1", &loop);
+  StandaloneMember dest("lt1a", "r1", &loop);
+  std::vector<Message> sent;
+  ProxyRouter router("relay", "r1", ProxyOptions(), &loop,
+                     [&](Message m) { sent.push_back(std::move(m)); });
+  router.BindConsensus(relay.consensus.get());
+
+  Random payload_rng(17);
+  std::vector<LogEntry> real;
+  for (uint64_t i = 1; i <= 4; ++i) {
+    std::string chunk(50, '\0');  // repeated below: the span is smaller
+    for (char& c : chunk) c = static_cast<char>(payload_rng.Uniform(256));
+    std::string payload;
+    for (int r = 0; r < 10; ++r) payload += chunk;
+    real.push_back(
+        LogEntry::Make({3, i}, EntryType::kTransaction, std::move(payload)));
+  }
+  // Entries 1-2 reach the relay through replication (log + cache);
+  // entries 3-4 only through its log, so its cache misses them.
+  AppendEntriesRequest to_relay;
+  to_relay.leader = "leader";
+  to_relay.dest = "relay";
+  to_relay.term = 3;
+  to_relay.entries = WireForm(std::vector<LogEntry>{real[0], real[1]});
+  relay.consensus->HandleMessage(Message(to_relay));
+  ASSERT_EQ(relay.consensus->last_logged(), real[1].id);
+  ASSERT_TRUE(relay.log.Append(real[2]).ok());
+  ASSERT_TRUE(relay.log.Append(real[3]).ok());
+  ASSERT_FALSE(relay.consensus->log_cache().Contains(3));
+
+  auto proxy_op = [&](size_t first) {
+    AppendEntriesRequest proxied;
+    proxied.leader = "leader";
+    proxied.dest = "lt1a";
+    proxied.route = {"relay"};
+    proxied.term = 3;
+    proxied.prev = first == 0 ? kZeroOpId : real[first - 1].id;
+    proxied.proxy_payload_omitted = true;
+    for (size_t i = first; i < first + 2; ++i) {
+      LogEntry stripped = real[i];
+      stripped.payload.clear();
+      proxied.entries.push_back(std::move(stripped));
+    }
+    return proxied;
+  };
+
+  // From the cache: the relay forwards its cached spans as they are.
+  EXPECT_TRUE(router.HandleInbound(Message(proxy_op(0))));
+  ASSERT_EQ(sent.size(), 1u);
+  {
+    const auto& out = std::get<AppendEntriesRequest>(sent[0]);
+    ASSERT_EQ(out.entries.size(), 2u);
+    EXPECT_FALSE(out.proxy_payload_omitted);
+    EXPECT_EQ(out.entries[0].shared_payload,
+              relay.consensus->log_cache().GetCompressed(1)->compressed);
+  }
+  // From the log after a cache miss: compressed by the relay.
+  EXPECT_TRUE(router.HandleInbound(Message(proxy_op(2))));
+  ASSERT_EQ(sent.size(), 2u);
+  {
+    const auto& out = std::get<AppendEntriesRequest>(sent[1]);
+    ASSERT_EQ(out.entries.size(), 2u);
+    EXPECT_LT(out.entries[0].payload_bytes().size(), real[2].payload.size());
+  }
+  EXPECT_EQ(router.stats().reconstitutions, 2u);
+
+  // The destination stores byte-identical, checksum-valid entries.
+  for (const Message& m : sent) dest.consensus->HandleMessage(m);
+  ASSERT_EQ(dest.consensus->last_logged(), real[3].id);
+  for (const LogEntry& want : real) {
+    auto stored = dest.log.Read(want.id.index);
+    ASSERT_TRUE(stored.ok()) << want.id.ToString();
+    EXPECT_EQ(stored->payload, want.payload) << want.id.ToString();
+    EXPECT_EQ(stored->checksum, want.checksum);
+    EXPECT_TRUE(stored->VerifyChecksum());
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "raft/log_abstraction.h"
 #include "raft/log_cache.h"
 #include "raft/quorum.h"
+#include "util/compression.h"
 #include "util/random.h"
 
 namespace myraft::raft {
@@ -41,10 +42,16 @@ TEST(LogCacheTest, PutGetRoundTrip) {
   LogCache cache(1 << 20);
   const LogEntry e = E(1, 1, std::string(1000, 'x'));
   cache.Put(e);
-  auto got = cache.Get(1);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, e);
-  EXPECT_TRUE(cache.Get(2).status().IsNotFound());
+  auto got = cache.GetCompressed(1);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, e.id);
+  EXPECT_EQ(got->type, e.type);
+  EXPECT_EQ(got->checksum, e.checksum);
+  EXPECT_EQ(got->uncompressed_size, e.payload.size());
+  std::string raw;
+  ASSERT_TRUE(LzDecompress(*got->compressed, &raw).ok());
+  EXPECT_EQ(raw, e.payload);
+  EXPECT_FALSE(cache.GetCompressed(2).has_value());
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
@@ -87,8 +94,8 @@ TEST(LogCacheTest, OverwriteRetiresReplacedBytes) {
   EXPECT_EQ(after.uncompressed_bytes, once.uncompressed_bytes);
   EXPECT_EQ(cache.size_bytes(), once.compressed_bytes);
   // The surviving entry is the replacement.
-  auto got = cache.Get(1);
-  ASSERT_TRUE(got.ok());
+  auto got = cache.GetCompressed(1);
+  ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->id.term, 2u);
 }
 
@@ -106,7 +113,7 @@ TEST(LogCacheTest, ClearResetsByteCounters) {
   EXPECT_EQ(cache.stats().compressed_bytes, 0u);
   EXPECT_EQ(cache.stats().uncompressed_bytes, 0u);
   // The cumulative counters survive Clear(); only resident gauges reset.
-  cache.Get(1);  // miss
+  cache.GetCompressed(1);  // miss
   EXPECT_GE(cache.stats().misses, 1u);
 }
 
@@ -117,8 +124,8 @@ TEST(LogCacheTest, SharedRegistryAccumulatesAcrossInstances) {
   {
     LogCache cache(1 << 20, &registry);
     cache.Put(E(1, 1, std::string(2'000, 'x')));
-    cache.Get(1);
-    cache.Get(99);
+    cache.GetCompressed(1);
+    cache.GetCompressed(99);
   }
   EXPECT_EQ(registry.FindCounter("log_cache.hits")->value(), 1u);
   EXPECT_EQ(registry.FindCounter("log_cache.misses")->value(), 1u);
@@ -126,7 +133,7 @@ TEST(LogCacheTest, SharedRegistryAccumulatesAcrossInstances) {
   LogCache reborn(1 << 20, &registry);
   EXPECT_EQ(registry.FindGauge("log_cache.compressed_bytes")->value(), 0);
   EXPECT_EQ(registry.FindGauge("log_cache.uncompressed_bytes")->value(), 0);
-  reborn.Get(1);  // miss: new instance starts empty
+  reborn.GetCompressed(1);  // miss: new instance starts empty
   EXPECT_EQ(registry.FindCounter("log_cache.misses")->value(), 2u);
 }
 

@@ -6,6 +6,7 @@
 
 #include "raft/consensus.h"
 #include "util/logging.h"
+#include "wire_entries.h"
 
 namespace myraft::raft {
 namespace {
@@ -149,7 +150,7 @@ class ConsensusUnitTest : public ::testing::Test {
     request.term = term;
     request.prev = prev;
     request.commit_marker = commit;
-    request.entries = std::move(entries);
+    request.entries = WireForm(std::move(entries));
     return request;
   }
 

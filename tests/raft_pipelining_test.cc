@@ -1,17 +1,17 @@
 // Pipelined-replication tests: the bounded in-flight window on the leader
 // (streaming, duplicate suppression, stall accounting), out-of-order and
-// stale response handling, rewind-cancels-suffix, timeout recovery, wire
-// compression, and the LogCache catch-up read-ahead buffer. Cluster-level
-// convergence under heavy jitter/loss (natural reordering) rides on the
-// sim network.
+// stale response handling, rewind-cancels-suffix, timeout recovery, the
+// compressed-span wire form, and the LogCache catch-up read-ahead buffer.
+// Cluster-level convergence under heavy jitter/loss (natural reordering)
+// rides on the sim network.
 
 #include <gtest/gtest.h>
 
 #include "raft/consensus.h"
 #include "raft/log_cache.h"
 #include "raft_test_harness.h"
-#include "util/compression.h"
 #include "util/logging.h"
+#include "wire_entries.h"
 
 namespace myraft::raft {
 namespace {
@@ -32,7 +32,9 @@ class CapturingOutbox final : public RaftOutbox {
   uint64_t PayloadBytesTo(const MemberId& dest) const {
     uint64_t bytes = 0;
     for (const auto& request : AppendsTo(dest)) {
-      for (const auto& entry : request.entries) bytes += entry.payload.size();
+      for (const auto& entry : request.entries) {
+        bytes += entry.payload_bytes().size();
+      }
     }
     return bytes;
   }
@@ -78,7 +80,6 @@ class PipeliningTest : public ::testing::Test {
     RaftOptions options;
     options.max_entries_per_rpc = 1;
     options.max_inflight_batches = 4;
-    options.wire_compression_min_bytes = 0;  // off unless a test opts in
     return options;
   }
 
@@ -313,22 +314,58 @@ TEST_F(PipeliningTest, TermBumpMidWindowStepsDown) {
   EXPECT_TRUE(consensus_->peers().empty());  // window state discarded
 }
 
-TEST_F(PipeliningTest, LargeBatchesCompressedOnTheWire) {
-  RaftOptions options = SmallBatchOptions();
-  options.wire_compression_min_bytes = 64;
-  Start(options);
-  const std::string compressible(4096, 'z');
-  Replicate(1, compressible);
+TEST_F(PipeliningTest, SmallBatchShipsTheCacheSpan) {
+  Start(SmallBatchOptions());
+  const std::string payload(200, 'z');  // well under 1 KiB
+  const OpId opid = Replicate(1, payload)[0];
   auto to_b = outbox_.AppendsTo("b");
   ASSERT_EQ(to_b.size(), 1u);
-  EXPECT_TRUE(to_b[0].entries_compressed);
-  // The hot tail ships the LogCache's already-compressed span borrowed
-  // via shared_payload (zero-copy), so size the logical bytes, not the
-  // owned payload string (empty for a borrowed buffer).
-  EXPECT_GT(to_b[0].entries[0].payload_bytes().size(), 0u);
-  EXPECT_LT(to_b[0].entries[0].payload_bytes().size(), compressible.size());
-  EXPECT_GE(consensus_->stats().wire_batches_compressed, 1u);
-  EXPECT_GE(consensus_->stats().zero_copy_batches, 1u);
+  ASSERT_EQ(to_b[0].entries.size(), 1u);
+  const LogEntry& sent = to_b[0].entries[0];
+  // The batch borrows the LogCache's compressed span: no copy, no
+  // inflate, no recompress on the send path.
+  auto span = consensus_->log_cache().GetCompressed(opid.index);
+  ASSERT_TRUE(span.has_value());
+  EXPECT_EQ(sent.shared_payload, span->compressed);
+  EXPECT_TRUE(sent.payload.empty());
+  EXPECT_LT(sent.payload_bytes().size(), payload.size());
+  EXPECT_EQ(Inflated(sent), payload);
+  EXPECT_EQ(sent.checksum, LogEntry::Make(opid, EntryType::kNoOp, payload)
+                               .checksum);
+}
+
+TEST_F(PipeliningTest, LaggingFollowerServedFromBinlogThenReadahead) {
+  RaftOptions options = SmallBatchOptions();
+  options.log_cache_capacity_bytes = 4096;  // holds ~13 entries below
+  Start(options);
+  Random payload_rng(5);
+  for (int i = 0; i < 40; ++i) {
+    std::string payload(300, '\0');  // incompressible: spans stay ~300 B
+    for (char& c : payload) c = static_cast<char>(payload_rng.Uniform(256));
+    ASSERT_TRUE(consensus_->Replicate(EntryType::kNoOp, payload).ok());
+  }
+  // "c" has not acked since setup, so its window is full. Ack what it
+  // holds; the entries after that have long left the leader's cache.
+  const OpId acked = outbox_.AppendsTo("c").back().entries.back().id;
+  ASSERT_FALSE(consensus_->log_cache().Contains(acked.index + 1));
+  outbox_.sent.clear();
+  AckFrom("c", acked);
+
+  auto to_c = outbox_.AppendsTo("c");
+  ASSERT_GE(to_c.size(), 2u);
+  ASSERT_EQ(to_c[0].entries[0].id.index, acked.index + 1);
+  for (const auto& request : to_c) {
+    for (const LogEntry& wire : request.entries) {
+      auto stored = log_.Read(wire.id.index);
+      ASSERT_TRUE(stored.ok());
+      EXPECT_EQ(Inflated(wire), stored->payload) << wire.id.ToString();
+      EXPECT_EQ(wire.checksum, stored->checksum);
+    }
+  }
+  // One binlog read served the first batch; its read-ahead surplus
+  // served the next.
+  EXPECT_EQ(consensus_->stats().cache_fallback_reads, 1u);
+  EXPECT_GT(consensus_->log_cache().stats().readahead_hits, 0u);
 }
 
 TEST_F(PipeliningTest, FollowerInflatesCompressedBatch) {
@@ -338,8 +375,7 @@ TEST_F(PipeliningTest, FollowerInflatesCompressedBatch) {
   const std::string payload(2048, 'q');
   LogEntry entry = LogEntry::Make({9, 2}, EntryType::kNoOp, payload);
   // Wire form: payload LzCompress'd, checksum still over the original.
-  LogEntry wire = entry;
-  LzCompress(entry.payload, &wire.payload);
+  LogEntry wire = WireForm(entry);
   ASSERT_LT(wire.payload.size(), payload.size());
 
   AppendEntriesRequest request;
@@ -348,7 +384,6 @@ TEST_F(PipeliningTest, FollowerInflatesCompressedBatch) {
   request.term = 9;
   request.prev = consensus_->last_logged();
   request.entries = {wire};
-  request.entries_compressed = true;
   consensus_->HandleMessage(Message(request));
 
   ASSERT_EQ(consensus_->role(), RaftRole::kFollower);
@@ -362,15 +397,15 @@ TEST_F(PipeliningTest, CorruptCompressedBatchRejectedNotApplied) {
   RaftOptions options;
   options.enable_pre_vote = false;
   Start(options);
-  LogEntry wire = LogEntry::Make({9, 2}, EntryType::kNoOp, "not-lz-data");
-  wire.payload = "\xff\xff garbage";
+  LogEntry wire =
+      WireForm(LogEntry::Make({9, 2}, EntryType::kNoOp, "not-lz-data"));
+  wire.payload = "\xff\xff garbage";  // corrupt the compressed span
   AppendEntriesRequest request;
   request.leader = "b";
   request.dest = "a";
   request.term = 9;
   request.prev = consensus_->last_logged();
   request.entries = {wire};
-  request.entries_compressed = true;
   outbox_.sent.clear();
   consensus_->HandleMessage(Message(request));
   EXPECT_FALSE(log_.HasEntry(wire.id.index));
@@ -394,9 +429,9 @@ TEST(LogCacheReadahead, SideBufferServesSequentialCatchup) {
     cache.PutReadahead(CacheEntry(i, "payload-" + std::to_string(i)));
   }
   for (uint64_t i = 5; i <= 8; ++i) {
-    auto entry = cache.Get(i);
-    ASSERT_TRUE(entry.ok()) << i;
-    EXPECT_EQ(entry->payload, "payload-" + std::to_string(i));
+    auto span = cache.GetCompressed(i);
+    ASSERT_TRUE(span.has_value()) << i;
+    EXPECT_EQ(Inflated(span->ToWire()), "payload-" + std::to_string(i));
   }
   EXPECT_EQ(cache.stats().readahead_hits, 4u);
   EXPECT_EQ(cache.stats().hits, 0u);  // none came from the main map
@@ -405,7 +440,7 @@ TEST(LogCacheReadahead, SideBufferServesSequentialCatchup) {
 TEST(LogCacheReadahead, MissWithActiveBufferCounts) {
   raft::LogCache cache(1 << 20);
   cache.PutReadahead(CacheEntry(5, "x"));
-  EXPECT_FALSE(cache.Get(42).ok());
+  EXPECT_FALSE(cache.GetCompressed(42).has_value());
   EXPECT_EQ(cache.stats().readahead_misses, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
@@ -414,9 +449,9 @@ TEST(LogCacheReadahead, MainCacheWinsAndTruncateCoversBuffer) {
   raft::LogCache cache(1 << 20);
   cache.Put(CacheEntry(5, "main"));
   cache.PutReadahead(CacheEntry(5, "stale-readahead"));  // dropped: dup
-  auto entry = cache.Get(5);
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(entry->payload, "main");
+  auto span = cache.GetCompressed(5);
+  ASSERT_TRUE(span.has_value());
+  EXPECT_EQ(Inflated(span->ToWire()), "main");
   EXPECT_EQ(cache.stats().hits, 1u);
 
   cache.PutReadahead(CacheEntry(9, "doomed"));

@@ -345,6 +345,29 @@ TEST(MessagesTest, ProxyOpFlagSurvives) {
   EXPECT_EQ(decoded->entries[0].checksum, req.entries[0].checksum);
 }
 
+TEST(MessagesTest, UnknownAppendFlagBitsAreCorruption) {
+  // Bit 0x1 (PROXY_OP) is the only append-entries flag; payloads always
+  // travel compressed, so no bit says so. Any other bit is corruption.
+  auto req = MakeAppendRequest();
+  std::string plain, proxied;
+  req.EncodeTo(&plain);
+  req.proxy_payload_omitted = true;
+  req.EncodeTo(&proxied);
+  ASSERT_EQ(plain.size(), proxied.size());
+  size_t flags_at = 0;
+  while (plain[flags_at] == proxied[flags_at]) ++flags_at;
+  ASSERT_EQ(static_cast<uint8_t>(proxied[flags_at]), 0x1);
+  for (int bit = 1; bit < 8; ++bit) {
+    for (const std::string* base : {&plain, &proxied}) {
+      std::string buf = *base;
+      buf[flags_at] = static_cast<char>(buf[flags_at] | (1 << bit));
+      auto decoded = AppendEntriesRequest::DecodeFrom(buf);
+      ASSERT_FALSE(decoded.ok()) << "bit " << bit;
+      EXPECT_TRUE(decoded.status().IsCorruption()) << "bit " << bit;
+    }
+  }
+}
+
 TEST(MessagesTest, AppendResponseRoundTrip) {
   AppendEntriesResponse resp;
   resp.from = "lt1a";
