@@ -76,8 +76,6 @@ const MetricInfo kCatalog[] = {
      "Replication reads that bypassed the cache to the binlog"},
     {"raft.commit_advance_latency_us", "histogram", "raft",
      "Append-to-commit latency per entry"},
-    {"raft.effective_window_batches", "histogram", "raft",
-     "Adaptive replication window (batches) at dispatch time"},
     {"raft.elections_started", "counter", "raft",
      "Real elections started (vote requests sent)"},
     {"raft.elections_won", "counter", "raft", "Elections won"},
@@ -98,7 +96,7 @@ const MetricInfo kCatalog[] = {
     {"raft.mock_elections_started", "counter", "raft",
      "Zero-downtime mock elections started (logtailer handoff)"},
     {"raft.peer_rtt_us", "histogram", "raft",
-     "Smoothed per-peer AppendEntries round-trip time"},
+     "Per-batch AppendEntries send-to-ack time"},
     {"raft.pipeline_stalls", "counter", "raft",
      "Pipeline stalls (window full, peer unresponsive)"},
     {"raft.pre_votes_started", "counter", "raft", "Pre-vote rounds started"},

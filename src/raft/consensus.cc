@@ -18,9 +18,6 @@ constexpr char kMockOutcomeReason[] = "mock-outcome";
 /// the cache's read-ahead buffer.
 constexpr uint64_t kCatchupReadaheadBatches = 4;
 
-/// Upper clamp of the adaptive in-flight window, in batches.
-constexpr size_t kAdaptiveWindowCapBatches = 64;
-
 /// Ends a span on scope exit (covers every early-return path of a
 /// handler). No-op while id stays 0.
 struct SpanGuard {
@@ -79,8 +76,6 @@ RaftConsensus::RaftConsensus(RaftOptions options, LogAbstraction* log,
   m_.reads_timed_out = metrics_->GetCounter("raft.reads_timed_out");
   m_.inflight_window_batches =
       metrics_->GetHistogram("raft.inflight_window_batches");
-  m_.effective_window_batches =
-      metrics_->GetHistogram("raft.effective_window_batches");
   m_.peer_rtt_us = metrics_->GetHistogram("raft.peer_rtt_us");
   m_.stall_duration_us = metrics_->GetHistogram("raft.stall_duration_us");
   m_.commit_advance_latency_us =
@@ -527,51 +522,6 @@ void RaftConsensus::RunGroupSync() {
   }
 }
 
-// --- Adaptive in-flight window -------------------------------------------------
-
-size_t RaftConsensus::EffectiveWindow(const PeerStatus& peer) const {
-  const size_t floor_batches = options_.max_inflight_batches;
-  if (!options_.adaptive_inflight_window || peer.srtt_micros == 0 ||
-      peer.delivery_rate_bps <= 0.0 || peer.avg_batch_bytes <= 0.0) {
-    return floor_batches;  // no samples yet: static floor
-  }
-  // BDP over the smoothed RTT with a 2x gain so the pipe stays full while
-  // acks are on the return path; the per-peer byte budget still applies
-  // independently via inflight_bytes.
-  const double bdp_bytes =
-      peer.delivery_rate_bps * static_cast<double>(peer.srtt_micros) / 1e6;
-  const double batches = 2.0 * bdp_bytes / peer.avg_batch_bytes;
-  const size_t cap = std::max(kAdaptiveWindowCapBatches, floor_batches);
-  if (batches <= static_cast<double>(floor_batches)) return floor_batches;
-  if (batches >= static_cast<double>(cap)) return cap;
-  return static_cast<size_t>(batches);
-}
-
-size_t RaftConsensus::effective_window(const MemberId& peer_id) const {
-  auto it = peers_.find(peer_id);
-  return it == peers_.end() ? options_.max_inflight_batches
-                            : EffectiveWindow(it->second);
-}
-
-void RaftConsensus::RecordAckSample(PeerStatus* peer,
-                                    const InflightBatch& batch,
-                                    uint64_t now) {
-  peer->total_acked_bytes += batch.bytes;
-  if (now <= batch.sent_micros) return;  // same-instant ack: no RTT signal
-  const uint64_t rtt = now - batch.sent_micros;
-  m_.peer_rtt_us->Record(rtt);
-  peer->srtt_micros =
-      peer->srtt_micros == 0 ? rtt : (peer->srtt_micros * 7 + rtt) / 8;
-  const uint64_t delivered =
-      peer->total_acked_bytes - batch.acked_bytes_at_send;
-  const double rate = static_cast<double>(std::max<uint64_t>(delivered, 1)) *
-                      1e6 / static_cast<double>(rtt);
-  // Max filter with EWMA decay (BBR-style): jump to faster evidence
-  // immediately, forget it gradually when deliveries slow down.
-  peer->delivery_rate_bps =
-      std::max(rate, peer->delivery_rate_bps * 0.875 + rate * 0.125);
-}
-
 void RaftConsensus::NoteStallEnded(PeerStatus* peer) {
   if (!peer->stalled) return;
   peer->stalled = false;
@@ -627,16 +577,14 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
   PeerStatus& peer = it->second;
   const uint64_t last = log_->LastOpId().index;
 
-  // Stream as many batches as the in-flight window and byte budget allow.
+  // Stream as many batches as the in-flight window allows.
   // next_index advances optimistically past each batch as it is sent; acks
   // (or rewinds) reconcile it later. This is also the duplicate-suppression
   // fix: a broadcast tick while a batch is outstanding now continues from
   // the optimistic cursor instead of re-sending the same suffix.
   bool sent_entries = false;
   while (peer.next_index <= last) {
-    const size_t window = EffectiveWindow(peer);
-    if (peer.inflight.size() >= window ||
-        peer.inflight_bytes >= options_.max_inflight_bytes_per_peer) {
+    if (peer.inflight.size() >= options_.max_inflight_batches) {
       // Count the *transition* into the stalled state, not every attempt
       // against a full window (the historical over-counting).
       if (!peer.stalled) {
@@ -675,13 +623,7 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     // aren't skewed against them.
     batch.sent_micros = clock_->NowMicros();
     batch.bytes = batch_raw_bytes;
-    batch.acked_bytes_at_send = peer.total_acked_bytes;
     m_.entries_replicated->Increment(request.entries.size());
-    const double sized =
-        std::max<double>(1.0, static_cast<double>(batch_raw_bytes));
-    peer.avg_batch_bytes = peer.avg_batch_bytes <= 0.0
-                               ? sized
-                               : peer.avg_batch_bytes * 0.875 + sized * 0.125;
 
     if (options_.tracer != nullptr) {
       // The batch span belongs to the first traced entry's transaction
@@ -711,7 +653,6 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     peer.last_sent_commit_index =
         std::max(peer.last_sent_commit_index, commit_marker_.index);
     m_.inflight_window_batches->Record(peer.inflight.size());
-    m_.effective_window_batches->Record(window);
     outbox_->Send(std::move(request));
     sent_entries = true;
   }
@@ -730,11 +671,11 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
   // Caught up and idle: plain heartbeat, not tracked in the window (a lost
   // heartbeat is simply replaced at the next interval).
   uint64_t prev_term = 0;
-  uint64_t raw_bytes = 0;
-  auto entries = FetchEntriesFor(peer.next_index, &prev_term, &raw_bytes);
-  if (!entries.ok()) {
+  if (!LookupTermAt(peer.next_index - 1, &prev_term)) {
     MYRAFT_LOG(Warning) << options_.self << ": cannot serve entries to "
-                        << peer_id << ": " << entries.status();
+                        << peer_id
+                        << ": previous entry unavailable (member needs "
+                           "re-provisioning)";
     return;
   }
   AppendEntriesRequest request;
@@ -743,12 +684,6 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
   request.term = meta_.current_term;
   request.commit_marker = commit_marker_;
   request.prev = OpId{prev_term, peer.next_index - 1};
-  request.entries = std::move(*entries);
-  if (!request.entries.empty()) {
-    // A concurrent append raced past us; treat it as a normal batch next
-    // tick rather than an untracked send.
-    return;
-  }
   StampLease(&request);
   StampConfig(&peer, &request);
   m_.heartbeats_sent->Increment();
@@ -1244,15 +1179,14 @@ void RaftConsensus::HandleAppendEntriesResponse(
             StringPrintf("acked_by=%s durable=%llu", response.from.c_str(),
                          (unsigned long long)response.last_durable_index));
       }
-      // Each retired batch contributes an RTT / delivery-rate sample to
-      // the adaptive window estimators.
-      RecordAckSample(&peer, front, now);
+      if (now > front.sent_micros) {  // same-instant ack: no RTT signal
+        m_.peer_rtt_us->Record(now - front.sent_micros);
+      }
       peer.inflight_bytes -= front.bytes;
       peer.inflight.pop_front();
     }
     peer.awaiting_response = !peer.inflight.empty();
-    if (peer.stalled && peer.inflight.size() < EffectiveWindow(peer) &&
-        peer.inflight_bytes < options_.max_inflight_bytes_per_peer) {
+    if (peer.inflight.size() < options_.max_inflight_batches) {
       NoteStallEnded(&peer);
     }
 
@@ -2236,8 +2170,6 @@ RaftConsensus::DebugStatusSnapshot RaftConsensus::DebugStatus() const {
       p.next_index = peer.next_index;
       p.inflight_batches = peer.inflight.size();
       p.inflight_bytes = peer.inflight_bytes;
-      p.effective_window = effective_window(id);
-      p.srtt_micros = peer.srtt_micros;
       p.stalled = peer.stalled;
       p.lease_expiry_micros = peer.lease_expiry_micros;
       p.last_response_micros = peer.last_response_micros;
@@ -2282,14 +2214,13 @@ std::string RaftConsensus::DebugStatusSnapshot::ToJson() const {
     out.append(StringPrintf(
         "{\"id\":\"%s\",\"match_index\":%llu,\"next_index\":%llu,"
         "\"inflight_batches\":%llu,\"inflight_bytes\":%llu,"
-        "\"effective_window\":%llu,\"srtt_us\":%llu,\"stalled\":%s,"
+        "\"stalled\":%s,"
         "\"lease_expiry_us\":%llu,\"last_response_us\":%llu}",
         p.id.c_str(), (unsigned long long)p.match_index,
         (unsigned long long)p.next_index,
         (unsigned long long)p.inflight_batches,
         (unsigned long long)p.inflight_bytes,
-        (unsigned long long)p.effective_window,
-        (unsigned long long)p.srtt_micros, p.stalled ? "true" : "false",
+        p.stalled ? "true" : "false",
         (unsigned long long)p.lease_expiry_micros,
         (unsigned long long)p.last_response_micros));
   }

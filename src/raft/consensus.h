@@ -61,18 +61,9 @@ struct RaftOptions {
   /// Replication pipelining: number of AppendEntries batches the leader
   /// keeps in flight per peer before the first ack (1 = lock-step). The
   /// paper's throughput numbers (§5, Fig. 5) assume the dissemination
-  /// path is not ack-bound on WAN RTTs. With the adaptive window this is
-  /// the floor the window never shrinks below.
+  /// path is not ack-bound on WAN RTTs; a fixed window of this many
+  /// batches is enough for that (DESIGN.md §12.2).
   size_t max_inflight_batches = 4;
-  /// BDP-style adaptive in-flight window: per peer, the window is sized
-  /// from measured delivery rate × smoothed RTT (÷ average batch size),
-  /// clamped to [max_inflight_batches, 64] and always bounded by
-  /// max_inflight_bytes_per_peer. Until the first RTT sample the static
-  /// floor applies.
-  bool adaptive_inflight_window = true;
-  /// Byte budget across one peer's in-flight window (uncompressed payload
-  /// bytes).
-  uint64_t max_inflight_bytes_per_peer = 4ull << 20;
 
   bool enable_pre_vote = true;
   /// §4.3: run a mock election before TransferLeadership.
@@ -215,10 +206,6 @@ class RaftConsensus {
     uint64_t last_index = 0;  // inclusive
     uint64_t bytes = 0;       // payload bytes (pre-compression)
     uint64_t sent_micros = 0;
-    /// Peer's cumulative acked-byte count when this batch was sent; the
-    /// delta at ack time is the bytes delivered over one RTT (the
-    /// delivery-rate sample feeding the adaptive window).
-    uint64_t acked_bytes_at_send = 0;
     /// Open "raft.replicate.batch" span; closed when the batch is acked
     /// or its window suffix is cancelled. 0 when tracing is off.
     uint64_t trace_span_id = 0;
@@ -238,12 +225,6 @@ class RaftConsensus {
     /// previous one's tail, so a rejection invalidates the whole suffix.
     std::deque<InflightBatch> inflight;
     uint64_t inflight_bytes = 0;
-    /// Adaptive-window estimators: smoothed RTT (EWMA 7/8), max-filtered
-    /// delivery rate (decays 7/8 when samples drop), average batch size.
-    uint64_t srtt_micros = 0;
-    double delivery_rate_bps = 0.0;
-    double avg_batch_bytes = 0.0;
-    uint64_t total_acked_bytes = 0;
     /// Stall accounting counts *transitions* into the window-full state,
     /// not attempts while stalled (the over-counting fix).
     bool stalled = false;
@@ -302,8 +283,6 @@ class RaftConsensus {
     uint64_t next_index = 0;
     size_t inflight_batches = 0;
     uint64_t inflight_bytes = 0;
-    size_t effective_window = 0;
-    uint64_t srtt_micros = 0;
     bool stalled = false;
     uint64_t lease_expiry_micros = 0;
     uint64_t last_response_micros = 0;
@@ -460,10 +439,6 @@ class RaftConsensus {
            transfer_->phase == TransferState::Phase::kQuiesced;
   }
   const std::map<MemberId, PeerStatus>& peers() const { return peers_; }
-  /// Current adaptive in-flight window for a peer, in batches (the static
-  /// floor until RTT/delivery samples exist). Introspection for tests and
-  /// tools.
-  size_t effective_window(const MemberId& peer_id) const;
   Stats stats() const;
   metrics::MetricRegistry* metrics() const { return metrics_; }
   const LogCache& log_cache() const { return cache_; }
@@ -545,10 +520,6 @@ class RaftConsensus {
   bool group_sync_active() const {
     return options_.group_commit_sync && options_.defer != nullptr;
   }
-  /// Adaptive window plumbing.
-  size_t EffectiveWindow(const PeerStatus& peer) const;
-  void RecordAckSample(PeerStatus* peer, const InflightBatch& batch,
-                       uint64_t now);
   void NoteStallEnded(PeerStatus* peer);
   /// Term of the entry at `index` (0 for index 0), from log or cache.
   bool LookupTermAt(uint64_t index, uint64_t* term) const;
@@ -584,7 +555,7 @@ class RaftConsensus {
   /// The next batch for a peer, in the wire form: each entry carries the
   /// cache's compressed span (a binlog read on a cache miss is compressed
   /// here). Sets the prev entry's term and the batch's uncompressed
-  /// payload bytes, which the RPC and window budgets count.
+  /// payload bytes, which the per-RPC budget counts.
   Result<std::vector<LogEntry>> FetchEntriesFor(uint64_t next_index,
                                                 uint64_t* prev_term,
                                                 uint64_t* raw_bytes);
@@ -666,9 +637,7 @@ class RaftConsensus {
     metrics::Counter* reads_timed_out;
     /// Window occupancy (batches in flight) sampled at each batch send.
     metrics::HistogramMetric* inflight_window_batches;
-    /// Adaptive window size sampled at each batch send.
-    metrics::HistogramMetric* effective_window_batches;
-    /// Per-batch RTT samples feeding the adaptive window.
+    /// Send-to-ack time of each retired batch.
     metrics::HistogramMetric* peer_rtt_us;
     /// Time spent with a peer's window full, recorded when a stall ends.
     metrics::HistogramMetric* stall_duration_us;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 
@@ -136,6 +137,78 @@ TEST(GroupCommitTest, InlineModeFsyncsPerWrite) {
   const uint64_t syncs = SyncCallsOn(&harness, primary) - syncs_before;
   EXPECT_GE(syncs, static_cast<uint64_t>(acked));
   EXPECT_EQ(CounterOn(&harness, primary, "raft.group_syncs"), 0u);
+}
+
+/// Sums one counter over every member of the ring.
+uint64_t RingCounter(ClusterHarness* harness, const std::string& name) {
+  uint64_t total = 0;
+  for (const MemberId& id : harness->ids()) {
+    total += CounterOn(harness, id, name);
+  }
+  return total;
+}
+
+/// Closed loop: `writers` clients, each issuing its next write as soon as
+/// the previous one completes, until `commits` writes have completed.
+/// Returns the number of acked writes; EXPECTs that none failed.
+int RunClosedLoop(ClusterHarness* harness, int writers, int commits) {
+  int issued = 0;
+  int done = 0;
+  int acked = 0;
+  std::function<void()> issue = [&]() {
+    if (issued >= commits) return;
+    const std::string key = "c" + std::to_string(issued++);
+    harness->ClientWrite(key, "v",
+                         [&](const ClusterHarness::ClientWriteResult& r) {
+                           ++done;
+                           EXPECT_TRUE(r.status.ok()) << r.status;
+                           if (r.status.ok()) ++acked;
+                           issue();
+                         });
+  };
+  for (int w = 0; w < writers; ++w) issue();
+  const uint64_t deadline = harness->loop()->now() + 60 * kSecond;
+  while (done < commits && harness->loop()->now() < deadline) {
+    harness->loop()->RunFor(1'000);
+  }
+  return acked;
+}
+
+TEST(GroupCommitTest, ClosedLoopReplicationIsNotAmplified) {
+  // ring_sysbench's shape: 3 regions x (db + 2 logtailers), FlexiRaft
+  // single-region-dynamic, proxying on, default link jitter, and the
+  // sysbench client (co-located, 195-395 us execute cost) so the eight
+  // writers stagger instead of landing in one instant. Each commit should
+  // reach each of the 8 followers about once; a replication window that
+  // outruns the links re-streams whole windows after every reordered
+  // batch instead.
+  ClusterOptions options = GroupCommitOptions(1, /*coalesced=*/true);
+  options.client.one_way_micros = 10;
+  options.client.processing_micros = 195;
+  options.client.processing_jitter_micros = 200;
+  ClusterHarness harness(std::move(options), FlexiEngine());
+  ASSERT_TRUE(harness.Bootstrap().ok());
+  ASSERT_FALSE(harness.WaitForPrimary(30 * kSecond).empty());
+  // Warm-up long enough for any per-peer window state to settle.
+  ASSERT_EQ(RunClosedLoop(&harness, /*writers=*/8, /*commits=*/1000), 1000);
+
+  const uint64_t entries_before =
+      RingCounter(&harness, "raft.entries_replicated");
+  const uint64_t rewinds_before = RingCounter(&harness, "raft.window_rewinds");
+  const int commits = RunClosedLoop(&harness, /*writers=*/8, /*commits=*/1000);
+  ASSERT_EQ(commits, 1000);
+  const double followers = harness.ids().size() - 1;
+  const double entries_per_commit =
+      static_cast<double>(RingCounter(&harness, "raft.entries_replicated") -
+                          entries_before) /
+      commits;
+  const double rewinds_per_commit =
+      static_cast<double>(RingCounter(&harness, "raft.window_rewinds") -
+                          rewinds_before) /
+      commits;
+  EXPECT_LE(entries_per_commit, 3 * followers);
+  EXPECT_LT(rewinds_per_commit, 1.0);
+  ASSERT_TRUE(harness.CheckReplicaConsistency());
 }
 
 }  // namespace

@@ -258,7 +258,6 @@ TEST_F(PipeliningTest, StallCountsTransitionsNotAttempts) {
 TEST_F(PipeliningTest, MarkerOnlyHeartbeatWhenWindowFull) {
   RaftOptions options = SmallBatchOptions();
   options.max_inflight_batches = 1;
-  options.adaptive_inflight_window = false;
   Start(options);
   auto opids = Replicate(2);
   // "c" never acks: its one-slot window is pinned by the bootstrap no-op
@@ -283,26 +282,6 @@ TEST_F(PipeliningTest, MarkerOnlyHeartbeatWhenWindowFull) {
   outbox_.sent.clear();
   consensus_->Tick();
   EXPECT_TRUE(outbox_.AppendsTo("c").empty());
-}
-
-TEST_F(PipeliningTest, AdaptiveWindowGrowsWithMeasuredBdp) {
-  Start(SmallBatchOptions());  // adaptive window on, static floor of 4
-  EXPECT_EQ(consensus_->effective_window("b"), 4u);
-  auto opids = Replicate(4);
-  // One cumulative ack 5ms later: four batches delivered inside one RTT.
-  // The BDP estimate (delivery rate x srtt, 2x gain) now says the pipe
-  // holds more than the static floor.
-  clock_.AdvanceMicros(5'000);
-  AckFrom("b", opids[3]);
-  EXPECT_GT(consensus_->effective_window("b"), 4u);
-  // The wider window streams a burst the old floor would have split:
-  // all 6 batches go out before any ack.
-  outbox_.sent.clear();
-  Replicate(6);
-  EXPECT_EQ(outbox_.AppendsTo("b").size(), 6u);
-  // "c" never acked, so it still sits at the floor with 4 streamed.
-  EXPECT_EQ(consensus_->effective_window("c"), 4u);
-  EXPECT_EQ(outbox_.AppendsTo("c").size(), 0u);  // window full since setup
 }
 
 TEST_F(PipeliningTest, TermBumpMidWindowStepsDown) {
